@@ -23,7 +23,6 @@ from .qmat import (
     eigh,
     hermitian_part,
     partial_trace,
-    product_operator,
     top_projector,
     trace_norm,
 )
@@ -33,12 +32,11 @@ ANNIHILATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Per-subsystem rank-r projectors and the product projector they generate."""
+    """Per-subsystem rank-r projectors and the weight c_r = Tr Q rho they keep."""
 
     subset: tuple[int, ...]
     r: int
     projectors: dict[int, np.ndarray] = field(repr=False)
-    q_full: np.ndarray = field(repr=False)
     c_r: float
 
     def marginal_tail(self, rho: DensityOp) -> float:
@@ -49,6 +47,26 @@ class TruncationPlan:
             kept = float(np.real(np.trace(self.projectors[s] @ marg.mat)))
             total += max(0.0, 1.0 - kept)
         return total
+
+
+def _compressed(rho: DensityOp, projectors: dict[int, np.ndarray]) -> np.ndarray:
+    """Unnormalized Q rho Q for Q the product of `projectors` (identity elsewhere)."""
+    maps = [_sandwich(projectors[s]) if s in projectors else None for s in range(rho.sig.nsys)]
+    return _apply_local_maps(rho, maps)
+
+
+def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
+    """Normalized compression Q rho Q / c with its weight c = Tr Q rho.
+
+    Q is the product of the per-subsystem `projectors` (identity on the
+    other subsystems), applied one subsystem at a time as the local map
+    X -> P X P. The state is None when c is at most ANNIHILATION_TOL.
+    """
+    mat = _compressed(rho, projectors)
+    c = float(np.real(np.trace(mat)))
+    if c <= ANNIHILATION_TOL:
+        return None, c
+    return DensityOp(rho.sig, hermitian_part(mat / c)).clean(), c
 
 
 def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
@@ -64,16 +82,16 @@ def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
     if r > min(dims[s] for s in subset):
         raise ValueError(f"rank r={r} exceeds a local dimension on subset {subset}")
     projs = {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
-    q = product_operator(projs, rho.sig)
-    c = float(np.real(np.trace(q @ rho.mat)))
-    return TruncationPlan(subset=subset, r=r, projectors=projs, q_full=q, c_r=c)
+    c = float(np.real(np.trace(_compressed(rho, projs))))
+    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
 
 
 def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
-    if plan.c_r <= ANNIHILATION_TOL:
+    """Compress rho with the plan's projectors, normalized by its own Tr Q rho."""
+    out, _ = compress(rho, plan.projectors)
+    if out is None:
         raise ValueError("truncation annihilates state: Tr Q rho is numerically zero")
-    out = plan.q_full @ rho.mat @ plan.q_full / plan.c_r
-    return DensityOp(rho.sig, hermitian_part(out)).clean()
+    return out
 
 
 def truncation_map(rho: DensityOp, subset, r: int) -> tuple[DensityOp, TruncationPlan]:
@@ -120,16 +138,25 @@ def channel_dephasing(p: float):
     return apply_local
 
 
+def _sandwich(p: np.ndarray):
+    """The local map X -> P X P."""
+    p = np.asarray(p, dtype=complex)
+
+    def apply_local(flat: np.ndarray) -> np.ndarray:
+        return np.moveaxis(p @ np.moveaxis(flat, 2, 0) @ p, 0, 2)
+
+    return apply_local
+
+
 def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
     """P . P plus rerouting the complementary weight to the pure state tau."""
-    p = np.asarray(p, dtype=complex)
+    kept = _sandwich(p)
     comp = np.eye(p.shape[0], dtype=complex) - p
     tau = np.outer(tau_vec, tau_vec.conj())
 
     def apply_local(flat: np.ndarray) -> np.ndarray:
-        kept = np.einsum("ab,bcj,cd->adj", p, flat, p)
         lost = np.einsum("ab,baj->j", comp, flat)
-        return kept + tau[:, :, None] * lost[None, None, :]
+        return kept(flat) + tau[:, :, None] * lost[None, None, :]
 
     return apply_local
 
@@ -141,14 +168,14 @@ CHANNEL_REGISTRY = {
 }
 
 
-def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
-    """Apply one local channel per subsystem (None entries mean identity)."""
+def _apply_local_maps(rho: DensityOp, maps: list) -> np.ndarray:
+    """Raw matrix after one local map per subsystem (None entries mean identity)."""
     dims = rho.sig.dims
     n = len(dims)
-    if len(channels) != n:
-        raise ValueError(f"need one channel per subsystem ({n}), got {len(channels)}")
+    if len(maps) != n:
+        raise ValueError(f"need one channel per subsystem ({n}), got {len(maps)}")
     mat = rho.mat
-    for s, ch in enumerate(channels):
+    for s, ch in enumerate(maps):
         if ch is None:
             continue
         d = dims[s]
@@ -160,7 +187,12 @@ def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
         t = flat.reshape((d, d) + rest)
         t = np.moveaxis(t, (0, 1), (s, n + s))
         mat = np.ascontiguousarray(t).reshape(rho.sig.total, rho.sig.total)
-    return DensityOp(rho.sig, hermitian_part(mat)).clean()
+    return mat
+
+
+def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
+    """Apply one local channel per subsystem (None entries mean identity)."""
+    return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, channels))).clean()
 
 
 def make_channel_product(specs: list):

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -91,14 +90,6 @@ def _partition(config: dict, nsys: int) -> Partition:
     return Partition.finest(nsys)
 
 
-def _map_cells(fn, keys, jobs: int):
-    """Evaluate fn over keys, possibly concurrently; results ordered by key position."""
-    if jobs <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, keys))
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
@@ -119,7 +110,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_entropy(config: dict, jobs: int):
+def _cmd_entropy(config: dict):
     rho = resolve_state(_require(config, "state"))
     groups = config.get("groups")
     rows = [["S", von_neumann_entropy(rho)]]
@@ -130,18 +121,17 @@ def _cmd_entropy(config: dict, jobs: int):
     return ["quantity", "value"], rows, {}, []
 
 
-def _cmd_gibbs(config: dict, jobs: int):
+def _cmd_gibbs(config: dict):
     ham = parse_family(_require(config, "hamiltonian", str))
     if not isinstance(ham, HamiltonianSpec):
         raise ConfigError("config field 'hamiltonian' must parse to a Hamiltonian literal")
     e_grid = sorted(float(e) for e in _require(config, "E_grid", list))
     dim = config.get("dim")
 
-    def cell(e):
+    rows = []
+    for e in e_grid:
         sol = solve_beta(ham, e, dim)
-        return [e, sol.beta, sol.entropy, sol.entropy / e if e != 0 else math.inf]
-
-    rows = _map_cells(cell, e_grid, jobs)
+        rows.append([e, sol.beta, sol.entropy, sol.entropy / e if e != 0 else math.inf])
     violations = []
     ceilings = [r[2] for r in rows]
     for a, b in zip(ceilings, ceilings[1:]):
@@ -150,7 +140,7 @@ def _cmd_gibbs(config: dict, jobs: int):
     return ["E", "beta", "F_H", "ratio"], rows, {}, violations
 
 
-def _cmd_zeta(config: dict, jobs: int):
+def _cmd_zeta(config: dict):
     # Hamiltonian literals are evaluated directly; a spectrum-family
     # literal is answered with the zeta limit of its constructed witness
     fam = parse_family(_require(config, "family", str))
@@ -164,7 +154,7 @@ def _cmd_zeta(config: dict, jobs: int):
     return ["beta", "value"], rows, {"extrapolated": res.extrapolated}, []
 
 
-def _cmd_approx(config: dict, jobs: int):
+def _cmd_approx(config: dict):
     rho = resolve_state(_require(config, "state"))
     subset = [int(s) for s in _require(config, "subset", list)]
     r_grid = [int(r) for r in _require(config, "r_grid", list)]
@@ -197,7 +187,7 @@ def _cmd_approx(config: dict, jobs: int):
     return header, rows, {}, violations
 
 
-def _cmd_er(config: dict, jobs: int):
+def _cmd_er(config: dict):
     rho = resolve_state(_require(config, "state"))
     part = _partition(config, rho.sig.nsys)
     sol = relative_entropy_entanglement(rho, part, _solver_opts(config))
@@ -223,7 +213,7 @@ def _cmd_er(config: dict, jobs: int):
     return ["value", "gap", "iters", "converged"], rows, extra, []
 
 
-def _cmd_er_reg(config: dict, jobs: int):
+def _cmd_er_reg(config: dict):
     rho = resolve_state(_require(config, "state"))
     part = _partition(config, rho.sig.nsys)
     k_max = int(config.get("k_max", 2))
@@ -236,7 +226,7 @@ def _cmd_er_reg(config: dict, jobs: int):
     return ["k", "value", "gap", "iters"], rows, {}, violations
 
 
-def _cmd_er_energy(config: dict, jobs: int):
+def _cmd_er_energy(config: dict):
     rho = resolve_state(_require(config, "state"))
     part = _partition(config, rho.sig.nsys)
     ham_specs = _require(config, "hams", list)
@@ -259,7 +249,7 @@ def _cmd_er_energy(config: dict, jobs: int):
     return ["E", "value", "gap", "iters"], rows, {}, violations
 
 
-def _cmd_fda(config: dict, jobs: int):
+def _cmd_fda(config: dict):
     rho = resolve_state(_require(config, "state"))
     rank_grid = [int(r) for r in _require(config, "rank_grid", list)]
     steps = []
@@ -282,7 +272,7 @@ def _cmd_fda(config: dict, jobs: int):
     return ["k", "m", "c_k", "value", "gap", "rel_change"], rows, {}, []
 
 
-def _cmd_verify(config: dict, jobs: int):
+def _cmd_verify(config: dict):
     seed = int(_require(config, "seed"))
     samples = config.get("samples", {})
     opts = _solver_opts(config)
@@ -319,7 +309,7 @@ def _cmd_verify(config: dict, jobs: int):
     return header, rows, {"checked": len(report["rows"])}, report["violations"]
 
 
-def _cmd_theorem2(config: dict, jobs: int):
+def _cmd_theorem2(config: dict):
     rho0 = resolve_state(_require(config, "state"))
     ks = [int(k) for k in config.get("ks", [1, 2, 4, 8])]
     dim = rho0.sig.total
@@ -346,7 +336,7 @@ _HANDLERS = {
 }
 
 
-def run(config: dict, out_dir: str | Path | None = None, jobs: int = 1) -> dict:
+def run(config: dict, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment config; returns the run record (also written to disk).
 
     The CSV artifact is deterministic given the config (including its
@@ -358,7 +348,7 @@ def run(config: dict, out_dir: str | Path | None = None, jobs: int = 1) -> dict:
     if command in ("er", "er-reg", "er-energy", "fda", "theorem2", "verify") and "seed" not in config:
         raise ConfigError("config field 'seed' is required for randomized commands")
     t0 = time.monotonic()
-    header, rows, extra, violations = _HANDLERS[command](config, jobs)
+    header, rows, extra, violations = _HANDLERS[command](config)
     record = {
         "config": config,
         "command": command,
@@ -378,10 +368,6 @@ def run(config: dict, out_dir: str | Path | None = None, jobs: int = 1) -> dict:
     return record
 
 
-def save_record(record: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(record, indent=2, default=float) + "\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qsep",
@@ -392,7 +378,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="experiment to run")
     parser.add_argument("--config", help="path to the JSON experiment config")
     parser.add_argument("--out", default="qsep-out", help="output directory (default: qsep-out)")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent grid cells")
     args = parser.parse_args(argv)
 
     if args.list_fixtures:
@@ -414,7 +399,7 @@ def main(argv=None) -> int:
             f"config command {config['command']!r} disagrees with CLI command {args.command!r}"
         )
     try:
-        record = run(config, out_dir=args.out, jobs=args.jobs)
+        record = run(config, out_dir=args.out)
     except ConfigError as exc:
         parser.error(str(exc))
     except ValueError as exc:

@@ -99,6 +99,9 @@ def conditional_entropy(rho: DensityOp, part: int = 0) -> float:
 
 
 def _check_groups(groups: list[list[int]], nsys: int) -> list[list[int]]:
+    """Validate disjoint nonempty groups that cover subsystems 0..nsys-1."""
+    if not groups:
+        raise ValueError("no groups given")
     seen: set[int] = set()
     out = []
     for g in groups:

@@ -86,28 +86,42 @@ class GibbsSolution:
         return DensityOp(DimSig((self.dim,)), np.diag(self.weights).astype(complex))
 
 
-def _solve_on_levels(levels: np.ndarray, e_target: float) -> tuple[float, np.ndarray]:
-    """Find beta >= 0 with mean energy e_target; clamp to 0 when unconstrained."""
-    ground = float(levels[0])
+def _weights_at(levels: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights; at beta = inf, uniform on the degenerate ground levels."""
+    if not math.isinf(beta):
+        return _stable_weights(levels, beta)
+    w = np.zeros(levels.size)
+    degenerate = np.abs(levels - levels[0]) <= 1e-12 * max(1.0, abs(levels[0]))
+    w[degenerate] = 1.0 / degenerate.sum()
+    return w
+
+
+def _common_beta(levels_list: list, e_target: float) -> float:
+    """Find beta >= 0 with summed mean energy e_target; clamp to 0 when unconstrained.
+
+    Doubles an upper bracket from beta = 1, then bisects it (at most 200
+    steps). At the summed ground energy beta is infinite.
+    """
+    ground = sum(float(lv[0]) for lv in levels_list)
     if e_target < ground - 1e-12:
         raise ValueError(f"infeasible energy {e_target} below ground level {ground}")
-    mean0 = float(levels.mean())
-    if e_target >= mean0:
-        return 0.0, np.full(levels.size, 1.0 / levels.size)
+    if e_target >= sum(float(lv.mean()) for lv in levels_list):
+        return 0.0
     if e_target <= ground + 1e-14 * max(1.0, abs(ground)):
-        w = np.zeros(levels.size)
-        degenerate = np.abs(levels - ground) <= 1e-12 * max(1.0, abs(ground))
-        w[degenerate] = 1.0 / degenerate.sum()
-        return math.inf, w
+        return math.inf
+
+    def total_mean(beta: float) -> float:
+        return sum(_mean_at(lv, beta) for lv in levels_list)
+
     beta_lo, beta_hi = 0.0, 1.0
-    while _mean_at(levels, beta_hi) > e_target:
+    while total_mean(beta_hi) > e_target:
         beta_lo = beta_hi
         beta_hi *= 2.0
         if beta_hi > 1e12:
             break
     for _ in range(200):
         mid = 0.5 * (beta_lo + beta_hi)
-        m = _mean_at(levels, mid)
+        m = total_mean(mid)
         if abs(m - e_target) <= ENERGY_TOL or beta_hi - beta_lo < 1e-14 * max(1.0, beta_hi):
             beta_lo = beta_hi = mid
             break
@@ -115,8 +129,7 @@ def _solve_on_levels(levels: np.ndarray, e_target: float) -> tuple[float, np.nda
             beta_lo = mid
         else:
             beta_hi = mid
-    beta = 0.5 * (beta_lo + beta_hi)
-    return beta, _stable_weights(levels, beta)
+    return 0.5 * (beta_lo + beta_hi)
 
 
 def _adequate_dim(h, e_target: float, dim: int | None) -> np.ndarray:
@@ -130,7 +143,7 @@ def _adequate_dim(h, e_target: float, dim: int | None) -> np.ndarray:
         d *= 2
         levels = _levels_of(h, d)
     for _ in range(5):
-        beta, w = _solve_on_levels(levels, min(e_target, float(levels.mean())))
+        beta = _common_beta([levels], min(e_target, float(levels.mean())))
         if math.isinf(beta) or beta == 0.0 or d >= DIM_CAP:
             return levels
         z_partial = float(np.exp(-beta * (levels - levels[0])).sum())
@@ -149,7 +162,8 @@ def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
     constraint is inactive and beta clamps to 0.
     """
     levels = _adequate_dim(h, E, dim)
-    beta, w = _solve_on_levels(levels, E)
+    beta = _common_beta([levels], E)
+    w = _weights_at(levels, beta)
     return GibbsSolution(
         beta=beta,
         levels=levels,
@@ -196,44 +210,10 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
             levels_list.append(_adequate_dim(h, E, None))
         else:
             levels_list.append(_levels_of(h, d))
-    grounds = sum(float(lv[0]) for lv in levels_list)
-    if E < grounds - 1e-12:
-        raise ValueError(f"infeasible energy {E} below summed ground level {grounds}")
-    mean0 = sum(float(lv.mean()) for lv in levels_list)
-
-    def total_mean(beta: float) -> float:
-        return sum(_mean_at(lv, beta) for lv in levels_list)
-
-    if E >= mean0:
-        beta = 0.0
-    elif E <= grounds + 1e-14 * max(1.0, abs(grounds)):
-        beta = math.inf
-    else:
-        beta_lo, beta_hi = 0.0, 1.0
-        while total_mean(beta_hi) > E:
-            beta_lo = beta_hi
-            beta_hi *= 2.0
-            if beta_hi > 1e12:
-                break
-        for _ in range(200):
-            mid = 0.5 * (beta_lo + beta_hi)
-            m = total_mean(mid)
-            if abs(m - E) <= ENERGY_TOL or beta_hi - beta_lo < 1e-14 * max(1.0, beta_hi):
-                beta_lo = beta_hi = mid
-                break
-            if m > E:
-                beta_lo = mid
-            else:
-                beta_hi = mid
-        beta = 0.5 * (beta_lo + beta_hi)
+    beta = _common_beta(levels_list, E)
     ents, means = [], []
     for lv in levels_list:
-        if math.isinf(beta):
-            w = np.zeros(lv.size)
-            degenerate = np.abs(lv - lv[0]) <= 1e-12 * max(1.0, abs(lv[0]))
-            w[degenerate] = 1.0 / degenerate.sum()
-        else:
-            w = _stable_weights(lv, beta)
+        w = _weights_at(lv, beta)
         ents.append(_entropy_of_weights(w))
         means.append(float((w * lv).sum()))
     return MultiGibbsSolution(beta=beta, entropies=tuple(ents), means=tuple(means))

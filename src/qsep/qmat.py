@@ -86,13 +86,13 @@ class DensityOp:
         if validate:
             res = herm_residual(m)
             if res > HERM_TOL:
-                raise ValueError(f"matrix is not Hermitian: residual {res:.3e} > {HERM_TOL}")
+                raise ValueError(f"state rejected: Hermiticity residual {res:.3e} exceeds {HERM_TOL}")
             tr = complex(np.trace(m))
             if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace is {tr:.12g}, expected 1 within {TRACE_TOL}")
+                raise ValueError(f"state rejected: trace {tr:.12g} deviates from 1 beyond {TRACE_TOL}")
             wmin = float(np.linalg.eigvalsh(hermitian_part(m)).min())
             if wmin < EIG_FLOOR:
-                raise ValueError(f"minimal eigenvalue {wmin:.3e} < {EIG_FLOOR}")
+                raise ValueError(f"state rejected: minimal eigenvalue {wmin:.3e} below {EIG_FLOOR}")
         return DensityOp(sig, m)
 
     def clean(self) -> "DensityOp":
@@ -216,23 +216,13 @@ def random_pure(sig, seed: int) -> DensityOp:
     return random_density(sig, 1, seed)
 
 
-def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def embed_operator(op: np.ndarray, sig: DimSig, subsystem: int) -> np.ndarray:
-    """Embed a single-subsystem operator as op on `subsystem`, identity elsewhere."""
-    mats = [np.eye(d, dtype=complex) for d in sig.dims]
-    mats[subsystem] = np.asarray(op, dtype=complex)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def product_operator(ops: dict[int, np.ndarray], sig: DimSig) -> np.ndarray:
-    """Tensor product with given per-subsystem operators, identity on the rest."""
+    """Dense tensor product with given per-subsystem operators, identity on the rest.
+
+    The library applies local operators by reshape (see the local maps of
+    :mod:`qsep.approx`); this D x D product is the reference they are
+    tested against.
+    """
     mats = [
         np.asarray(ops[s], dtype=complex) if s in ops else np.eye(d, dtype=complex)
         for s, d in enumerate(sig.dims)
@@ -265,17 +255,7 @@ def matrix_from_json(doc: dict) -> DensityOp:
         raise ValueError(
             f"matrix shape {re.shape}/{im.shape} does not match dims product {sig.total}"
         )
-    m = re + 1j * im
-    res = herm_residual(m)
-    if res > HERM_TOL:
-        raise ValueError(f"state rejected: Hermiticity residual {res:.3e} exceeds {HERM_TOL}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"state rejected: trace {tr:.12g} deviates from 1 beyond {TRACE_TOL}")
-    wmin = float(np.linalg.eigvalsh(hermitian_part(m)).min())
-    if wmin < EIG_FLOOR:
-        raise ValueError(f"state rejected: minimal eigenvalue {wmin:.3e} below {EIG_FLOOR}")
-    return DensityOp(sig, m)
+    return DensityOp.create(sig, re + 1j * im, validate=True)
 
 
 def save_state(rho: DensityOp, path: str) -> None:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import binary_entropy, relative_entropy, von_neumann_entropy
+from .approx import compress
+from .entropy import LOG_FLOOR, _check_groups, binary_entropy, relative_entropy, von_neumann_entropy
 from .qmat import (
     DensityOp,
     DimSig,
@@ -28,7 +29,6 @@ from .qmat import (
 )
 from .spectra import HamiltonianSpec
 
-LOG_FLOOR = 1e-14
 PRUNE_TOL = 1e-10
 _LETTERS = string.ascii_letters
 
@@ -40,17 +40,8 @@ class Partition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = tuple(tuple(sorted(int(s) for s in g)) for g in self.groups)
-        if not canon or any(not g for g in canon):
-            raise ValueError("partition groups must be nonempty")
-        canon = tuple(sorted(canon, key=lambda g: g[0]))
-        seen: set[int] = set()
-        for g in canon:
-            if seen & set(g):
-                raise ValueError(f"partition groups overlap: {canon}")
-            seen |= set(g)
-        if seen != set(range(len(seen))):
-            raise ValueError(f"partition {canon} must cover 0..n-1 contiguously")
+        groups = _check_groups(self.groups, sum(len(g) for g in self.groups))
+        canon = tuple(sorted((tuple(sorted(g)) for g in groups), key=lambda g: g[0]))
         object.__setattr__(self, "groups", canon)
 
     @staticmethod
@@ -270,13 +261,6 @@ def _obj_and_grad(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: flo
         )
     g = vs @ (-rt * phi) @ vs.conj().T
     return obj, hermitian_part(g)
-
-
-def _gradient(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> np.ndarray:
-    wr = np.linalg.eigvalsh(rho_mat)
-    wr = wr[wr > 0]
-    t = float((wr * np.log(wr)).sum()) if wr.size else 0.0
-    return _obj_and_grad(rho_mat, sigma_mat, t)[1]
 
 
 def _quad_forms(arr: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
@@ -677,8 +661,9 @@ def regularized_estimates(
 ) -> list[dict]:
     """Per-copy-count upper estimates of the regularized measure.
 
-    Row k reports E(rho^(x k))/k; the k = 2 solve warm-starts from the
-    k = 1 atom decomposition squared, so subadditivity holds by descent.
+    Row k reports E(rho^(x k))/k with its gap also divided by k, so both
+    are per copy; `raw_value` keeps the k-copy value. The k = 2 solve
+    warm-starts from the k = 1 atom decomposition squared.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -702,7 +687,7 @@ def regularized_estimates(
                 "k": k,
                 "value": sol.value / k,
                 "raw_value": sol.value,
-                "gap": sol.gap,
+                "gap": sol.gap / k,
                 "iters": sol.iterations,
             }
         )
@@ -731,17 +716,13 @@ def truncation_limit_experiment(
     n = rho.sig.nsys
     if m_grid is None:
         m_grid = [n]
-    from .qmat import product_operator
-
     rows = []
     prev: dict[int, float] = {}
     for k, projs in enumerate(projector_steps):
-        q = product_operator({s: p for s, p in projs.items()}, rho.sig)
-        c = float(np.real(np.trace(q @ rho.mat)))
-        if c <= 1e-12:
+        rho_k, c = compress(rho, projs)
+        if rho_k is None:
             rows.append({"k": k, "skipped": True, "note": "truncation annihilates state"})
             continue
-        rho_k = DensityOp(rho.sig, hermitian_part(q @ rho.mat @ q / c)).clean()
         for m in m_grid:
             reduced = partial_trace(rho_k, list(range(m))) if m < n else rho_k
             sol = relative_entropy_entanglement(reduced, Partition.finest(m), opts)

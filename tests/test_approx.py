@@ -6,8 +6,10 @@ import pytest
 from qsep.approx import (
     BoundTemplate,
     apply_local_channels,
+    apply_plan,
     channel_depolarizing,
     channel_dephasing,
+    compress,
     envelope_from_families,
     energy_growth_check,
     gentle_bound_check,
@@ -21,7 +23,7 @@ from qsep.approx import (
 )
 from qsep.entropy import mutual_information
 from qsep.fixtures import bell_state, geometric_gibbs_product
-from qsep.qmat import DensityOp, DimSig, partial_trace, random_density
+from qsep.qmat import DensityOp, DimSig, partial_trace, product_operator, random_density
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
 
 
@@ -69,13 +71,47 @@ class TestTruncationMap:
         assert np.allclose(np.diag(out.mat).real, np.append(kept / kept.sum(), 0.0), atol=1e-12)
 
     def test_idempotent_with_same_plan(self):
-        from qsep.approx import apply_plan
-
         rho = random_density((2, 2, 2), 6, seed=2)
         plan = make_plan(rho, [0, 1], 1)
         once = apply_plan(rho, plan)
         twice = apply_plan(once, plan)
         assert np.allclose(once.mat, twice.mat, atol=1e-10)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)])
+    def test_compression_matches_dense_product(self, dims):
+        # random non-diagonal projectors on the first and last subsystems
+        # (identity in between), checked against the dense Q rho Q / Tr Q rho
+        rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+        rho = random_density(dims, int(np.prod(dims)), seed=int(rng.integers(1 << 30)))
+        projs = {}
+        for s in {0, len(dims) - 1}:
+            d = dims[s]
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            v = np.linalg.qr(g)[0][:, : int(rng.integers(1, d))]
+            projs[s] = v @ v.conj().T
+        q = product_operator(projs, rho.sig)
+        dense = q @ rho.mat @ q
+        out, c = compress(rho, projs)
+        assert abs(c - np.trace(dense).real) < 1e-12
+        assert np.abs(out.mat - dense / np.trace(dense).real).max() < 1e-12
+        plan = make_plan(rho, list(range(len(dims))), 1)
+        q = product_operator(plan.projectors, rho.sig)
+        dense = q @ rho.mat @ q
+        assert abs(plan.c_r - np.trace(dense).real) < 1e-12
+        got = apply_plan(rho, plan)
+        assert np.abs(got.mat - dense / np.trace(dense).real).max() < 1e-12
+
+    def test_plan_applied_to_another_state(self):
+        rho = random_density((2, 3), 6, seed=21)
+        other = random_density((2, 3), 6, seed=22)
+        plan = make_plan(rho, [0, 1], 1)
+        out = apply_plan(other, plan)
+        assert abs(np.trace(out.mat).real - 1.0) < 1e-12
+        # a state the plan's projectors annihilate is rejected, whatever c_r is
+        diag = dop((2,), np.diag([0.75, 0.25]))
+        assert make_plan(diag, [0], 1).c_r == 0.75
+        with pytest.raises(ValueError, match="annihilates"):
+            apply_plan(dop((2,), np.diag([0.0, 1.0])), make_plan(diag, [0], 1))
 
     def test_annihilation_rejected(self):
         # both marginals are maximally mixed, ties select |0> on each side,

@@ -55,13 +55,11 @@ def test_reproducible_csv_bytes(tmp_path):
     assert (tmp_path / "a" / "er-reg.csv").read_bytes() == (tmp_path / "b" / "er-reg.csv").read_bytes()
 
 
-def test_jobs_do_not_change_output(tmp_path):
+def test_gibbs_csv_bytes_reproducible(tmp_path):
     config = {"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [0.5, 1.0, 2.0]}
-    run(dict(config), out_dir=tmp_path / "serial", jobs=1)
-    run(dict(config), out_dir=tmp_path / "parallel", jobs=3)
-    assert (tmp_path / "serial" / "gibbs.csv").read_bytes() == (
-        tmp_path / "parallel" / "gibbs.csv"
-    ).read_bytes()
+    run(dict(config), out_dir=tmp_path / "a")
+    run(dict(config), out_dir=tmp_path / "b")
+    assert (tmp_path / "a" / "gibbs.csv").read_bytes() == (tmp_path / "b" / "gibbs.csv").read_bytes()
 
 
 def test_verify_zero_samples_vacuous_pass(tmp_path):
@@ -99,7 +97,7 @@ def test_main_cli_end_to_end(tmp_path, capsys):
 def test_main_nonzero_exit_on_violations(tmp_path, monkeypatch):
     import qsep.cli as cli_mod
 
-    def fake(config, jobs):
+    def fake(config):
         return ["x"], [[1.0]], {}, [{"kind": "synthetic"}]
 
     monkeypatch.setitem(cli_mod._HANDLERS, "entropy", fake)

@@ -220,6 +220,23 @@ class TestRegularized:
             rows = regularized_estimates(rho, k_max=2, opts=SolverOpts(max_iters=60))
             assert rows[1]["value"] <= rows[0]["value"] + 1e-6
 
+    def test_rows_are_per_copy(self, monkeypatch):
+        import qsep.relent as relent_mod
+
+        solved = []
+
+        def record(*args, **kwargs):
+            solved.append(relative_entropy_entanglement(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(relent_mod, "relative_entropy_entanglement", record)
+        rows = regularized_estimates(bell_state(), k_max=2, opts=SolverOpts(max_iters=20))
+        assert len(rows) == len(solved) == 2
+        for k, (row, sol) in enumerate(zip(rows, solved), start=1):
+            assert row["value"] == sol.value / k
+            assert row["gap"] == sol.gap / k
+            assert row["raw_value"] == sol.value
+
     def test_dimension_overflow_names_kmax(self):
         rho = random_density((8, 8), 8, seed=5)
         with pytest.raises(ValueError, match="admissible k_max=2"):
