@@ -67,7 +67,6 @@ from .relent import (
     Partition,
     SepAtom,
     SolverOpts,
-    energy_constrained_ree,
     energy_sweep,
     product_lmo,
     regularized_estimates,

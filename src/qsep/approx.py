@@ -61,12 +61,16 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     Q is the product of the per-subsystem `projectors` (identity on the
     other subsystems), applied one subsystem at a time as the local map
     X -> P X P. The state is None when c is at most ANNIHILATION_TOL.
+
+    The state is not repaired: rounding in Q rho Q is divided by c, so at c
+    barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
+    remain, still above qmat.EIG_FLOOR; from c of about 4e-10 on, none do.
     """
     mat = _compressed(rho, projectors)
     c = float(np.real(np.trace(mat)))
     if c <= ANNIHILATION_TOL:
         return None, c
-    return DensityOp(rho.sig, hermitian_part(mat / c)).clean(), c
+    return DensityOp(rho.sig, hermitian_part(mat / c)), c
 
 
 def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
@@ -192,7 +196,7 @@ def _apply_local_maps(rho: DensityOp, maps: list) -> np.ndarray:
 
 def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
     """Apply one local channel per subsystem (None entries mean identity)."""
-    return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, channels))).clean()
+    return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, channels)))
 
 
 def make_channel_product(specs: list):

@@ -96,7 +96,11 @@ class DensityOp:
         return DensityOp(sig, m)
 
     def clean(self) -> "DensityOp":
-        """Numerical hygiene: re-symmetrize, clip tiny negative eigenvalues, renormalize."""
+        """Numerical hygiene: re-symmetrize, clip tiny negative eigenvalues, renormalize.
+
+        Meant for matrices wrapped with `create(..., validate=False)`; the
+        library does not call it, as the states it builds are PSD by construction.
+        """
         m = hermitian_part(self.mat)
         w, v = np.linalg.eigh(m)
         if w.min() < -CLIP_TOL or abs(w.sum() - 1.0) > TRACE_TOL:

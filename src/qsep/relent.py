@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import compress
-from .entropy import LOG_FLOOR, _check_groups, binary_entropy, relative_entropy, von_neumann_entropy
+from .entropy import (
+    LOG_FLOOR,
+    _check_groups,
+    binary_entropy,
+    conditional_entropy,
+    mutual_information,
+    relative_entropy,
+    von_neumann_entropy,
+)
 from .qmat import (
     DensityOp,
     DimSig,
@@ -373,9 +381,7 @@ def relative_entropy_entanglement(
     rng = np.random.default_rng(opts.seed)
     dim = rho.sig.total
     rho_mat = rho.mat
-    wr = np.linalg.eigvalsh(rho_mat)
-    wr = wr[wr > 0]
-    tr_rho_ln_rho = float((wr * np.log(wr)).sum()) if wr.size else 0.0
+    tr_rho_ln_rho = -von_neumann_entropy(rho)
 
     h_diag = None
     e_cap = math.inf
@@ -537,7 +543,7 @@ def relative_entropy_entanglement(
     final = product_lmo(g_mat, rho.sig, partition, opts.restarts, opts.sweeps, rng)
     final_gap = float(np.real(np.trace(g_mat @ sigma))) - final.value
     best_lower = max(best_lower, final_obj - final_gap)
-    sigma_op = DensityOp(rho.sig, sigma).clean()
+    sigma_op = DensityOp(rho.sig, sigma)
     value = relative_entropy(rho, sigma_op)
     gap = max(0.0, float(value) - best_lower)
     converged = converged or gap <= opts.tol
@@ -549,19 +555,6 @@ def relative_entropy_entanglement(
         iterations=iterations,
         converged=converged,
         lmo_spread=spread,
-    )
-
-
-def energy_constrained_ree(
-    rho: DensityOp,
-    partition: Partition | None,
-    constraint: EnergyConstraint,
-    opts: SolverOpts | None = None,
-    initial_atoms: list | None = None,
-) -> ERSolution:
-    """Energy-constrained variant: the feasible set keeps Tr H sigma <= E."""
-    return relative_entropy_entanglement(
-        rho, partition, opts, initial_atoms=initial_atoms, constraint=constraint
     )
 
 
@@ -584,9 +577,8 @@ def energy_sweep(
     rows = []
     warm: list | None = None
     for e in e_grid:
-        sol = energy_constrained_ree(
-            rho, partition, EnergyConstraint(hams=tuple(hams), E=e), opts, initial_atoms=warm
-        )
+        cap = EnergyConstraint(hams=tuple(hams), E=e)
+        sol = relative_entropy_entanglement(rho, partition, opts, initial_atoms=warm, constraint=cap)
         rows.append({"E": e, "value": sol.value, "gap": sol.gap, "iters": sol.iterations})
         warm = [(w, a) for w, a in sol.atoms]
     return rows
@@ -807,8 +799,6 @@ def verify_er_inequalities(
         if rho.sig.nsys != 2:
             raise ValueError("conditional-entropy lower bounds need bipartite samples")
         sol = solve(rho)
-        from .entropy import conditional_entropy
-
         for a in (0, 1):
             lower = -conditional_entropy(rho, part=a)
             margin = sol.value + slack - lower
@@ -869,8 +859,6 @@ def sequence_convergence_demo(
     A desk-scale illustration that the estimates track the limit state
     whenever the mutual-information column does.
     """
-    from .entropy import mutual_information
-
     if partition is None:
         partition = Partition.finest(rho0.sig.nsys)
     rows = []

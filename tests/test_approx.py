@@ -94,6 +94,7 @@ class TestTruncationMap:
         out, c = compress(rho, projs)
         assert abs(c - np.trace(dense).real) < 1e-12
         assert np.abs(out.mat - dense / np.trace(dense).real).max() < 1e-12
+        DensityOp.create(out.sig, out.mat, validate=True)
         plan = make_plan(rho, list(range(len(dims))), 1)
         q = product_operator(plan.projectors, rho.sig)
         dense = q @ rho.mat @ q
@@ -163,6 +164,7 @@ class TestTruncationChannels:
             r_max = min(rho.sig.dims)
             out = truncation_channels(rho, list(range(rho.sig.nsys)), max(1, r_max - 1))
             assert abs(np.trace(out.mat).real - 1.0) < 1e-10
+            DensityOp.create(out.sig, out.mat, validate=True)
 
 
 class TestLocalChannels:

@@ -12,7 +12,6 @@ from qsep.relent import (
     SepAtom,
     SolverOpts,
     atom_vector,
-    energy_constrained_ree,
     energy_sweep,
     product_lmo,
     regularized_estimates,
@@ -143,6 +142,7 @@ class TestSolverCore:
             rho = random_density((2, 2), 4, seed=seed)
             sol = relative_entropy_entanglement(rho, opts=FAST)
             assert abs(sol.value - relative_entropy(rho, sol.sigma)) < 1e-8
+            DensityOp.create(sol.sigma.sig, sol.sigma.mat, validate=True)
 
     def test_weights_form_distribution(self):
         sol = relative_entropy_entanglement(bell_state(), opts=FAST)
@@ -172,23 +172,23 @@ class TestEnergyConstrained:
     def test_inactive_constraint_matches(self):
         bell = bell_state()
         free = relative_entropy_entanglement(bell, opts=FAST)
-        constrained = energy_constrained_ree(
-            bell, None, EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=10.0), FAST
+        constrained = relative_entropy_entanglement(
+            bell, None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=10.0)
         )
         assert abs(free.value - constrained.value) < 1e-6
 
     def test_ground_state_at_ground_energy(self):
         v = np.kron([1.0, 0.0], [1.0, 0.0])
         rho = dop((2, 2), np.outer(v, v))
-        sol = energy_constrained_ree(
-            rho, None, EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=0.0), FAST
+        sol = relative_entropy_entanglement(
+            rho, None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=0.0)
         )
         assert sol.value <= 1e-9
 
     def test_infeasible_energy(self):
         with pytest.raises(ValueError, match="infeasible"):
-            energy_constrained_ree(
-                bell_state(), None, EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=-0.5), FAST
+            relative_entropy_entanglement(
+                bell_state(), None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=-0.5)
             )
 
     def test_bell_sweep(self):
