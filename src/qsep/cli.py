@@ -24,7 +24,7 @@ from .approx import BoundTemplate, qmi_function, truncation_experiment
 from .entropy import mutual_information, von_neumann_entropy
 from .fixtures import FIXTURE_VERSION, FIXTURES, get_fixture
 from .gibbs import solve_beta
-from .qmat import DensityOp, load_state, partial_trace, top_projector
+from .qmat import DensityOp, load_state, partial_trace, random_density, random_pure, top_projector
 from .relent import (
     Partition,
     SolverOpts,
@@ -36,20 +36,6 @@ from .relent import (
     verify_er_inequalities,
 )
 from .spectra import HamiltonianSpec, SpectrumFamily, build_fa_witness, parse_family, zeta_limit
-from .qmat import random_density, random_pure
-
-COMMANDS = (
-    "entropy",
-    "gibbs",
-    "zeta",
-    "approx",
-    "er",
-    "er-reg",
-    "er-energy",
-    "fda",
-    "verify",
-    "theorem2",
-)
 
 
 class ConfigError(ValueError):
@@ -334,6 +320,7 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "theorem2": _cmd_theorem2,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config: dict, out_dir: str | Path | None = None) -> dict:

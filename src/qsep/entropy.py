@@ -24,11 +24,15 @@ def eta(x: float) -> float:
     return -x * math.log(x)
 
 
-def von_neumann_entropy(rho: DensityOp) -> float:
-    """Entropy of a state: sum of eta over its eigenvalues."""
-    w = np.linalg.eigvalsh(rho.mat)
+def _eta_sum(w: np.ndarray) -> float:
+    """Shannon sum -sum w ln w over the positive entries of a spectrum."""
     w = w[w > 0]
     return float(-(w * np.log(w)).sum()) if w.size else 0.0
+
+
+def von_neumann_entropy(rho: DensityOp) -> float:
+    """Entropy of a state: sum of eta over its eigenvalues."""
+    return _eta_sum(np.linalg.eigvalsh(rho.mat))
 
 
 def binary_entropy(p: float) -> float:
@@ -70,8 +74,7 @@ def relative_entropy(rho: DensityOp, sigma: DensityOp, support_tol: float = SUPP
             leak = (np.abs(null.conj().T @ big) ** 2).sum(axis=0)
             if leak.max() >= support_tol:
                 return math.inf
-    wr = dec_r.eigenvalues[dec_r.eigenvalues > 0]
-    tr_rho_ln_rho = float((wr * np.log(wr)).sum()) if wr.size else 0.0
+    tr_rho_ln_rho = -_eta_sum(dec_r.eigenvalues)
     keep = ws > support_tol
     weights = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho.mat, vs))
     tr_rho_ln_sigma = float((weights[keep] * np.log(np.clip(ws[keep], LOG_FLOOR, None))).sum())

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import binary_entropy, g_entropy, von_neumann_entropy
+from .entropy import _eta_sum, binary_entropy, g_entropy, von_neumann_entropy
 from .qmat import DensityOp, DimSig, partial_trace
 from .spectra import HamiltonianSpec
 
@@ -57,11 +57,6 @@ def _stable_weights(levels: np.ndarray, beta: float) -> np.ndarray:
 
 def _mean_at(levels: np.ndarray, beta: float) -> float:
     return float((_stable_weights(levels, beta) * levels).sum())
-
-
-def _entropy_of_weights(w: np.ndarray) -> float:
-    w = w[w > 0]
-    return float(-(w * np.log(w)).sum())
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
         levels=levels,
         weights=w,
         mean_energy=float((w * levels).sum()),
-        entropy=_entropy_of_weights(w),
+        entropy=_eta_sum(w),
     )
 
 
@@ -214,7 +209,7 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
     ents, means = [], []
     for lv in levels_list:
         w = _weights_at(lv, beta)
-        ents.append(_entropy_of_weights(w))
+        ents.append(_eta_sum(w))
         means.append(float((w * lv).sum()))
     return MultiGibbsSolution(beta=beta, entropies=tuple(ents), means=tuple(means))
 

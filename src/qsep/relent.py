@@ -37,7 +37,16 @@ from .qmat import (
 )
 from .spectra import HamiltonianSpec
 
+# fixed solver constants: alternating sweeps per oracle call, golden-section
+# steps per line search, corrective-pass steps per iteration, the weight
+# below which an atom is dropped, and the stall test (no objective descent
+# beyond STALL_TOL over STALL_WINDOW iterations)
+LMO_SWEEPS = 50
+LINE_ITERS = 48
+POLISH_ITERS = 60
 PRUNE_TOL = 1e-10
+STALL_WINDOW = 20
+STALL_TOL = 1e-11
 _LETTERS = string.ascii_letters
 
 
@@ -130,7 +139,6 @@ def product_lmo(
     sig: DimSig,
     partition: Partition,
     restarts: int = 8,
-    max_sweeps: int = 50,
     rng: np.random.Generator | int | None = 0,
 ) -> LmoResult:
     """Approximate minimizer of <psi|G|psi> over product unit vectors.
@@ -154,7 +162,7 @@ def product_lmo(
         v = rng.standard_normal((n_r, dg)) + 1j * rng.standard_normal((n_r, dg))
         factors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     vals = np.full(n_r, math.inf)
-    for _ in range(max_sweeps):
+    for _ in range(LMO_SWEEPS):
         prev = vals.copy()
         for j in range(len(groups)):
             view, others = views[j]
@@ -190,13 +198,7 @@ class SolverOpts:
     max_iters: int = 300
     tol: float = 1e-7
     restarts: int = 8
-    sweeps: int = 50
     seed: int = 0
-    polish_iters: int = 60
-    prune_tol: float = PRUNE_TOL
-    line_iters: int = 48
-    stall_window: int = 20
-    stall_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -277,14 +279,14 @@ def _quad_forms(arr: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
     return np.real((x * arr).sum(axis=1))
 
 
-def _golden(h, lo: float, hi: float, iters: int = 48) -> float:
+def _golden(h, lo: float, hi: float) -> float:
     """Golden-section minimizer of a convex scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = h(c), h(d)
-    for _ in range(iters):
+    for _ in range(LINE_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -296,66 +298,20 @@ def _golden(h, lo: float, hi: float, iters: int = 48) -> float:
     return 0.5 * (a + b)
 
 
-class _AtomSet:
-    """Weights, vectors and factor tuples of the current separable mixture."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.weights: list[float] = []
-        self.vectors: list[np.ndarray] = []
-        self.atoms: list[SepAtom] = []
-
-    def add(self, weight: float, vector: np.ndarray, atom: SepAtom) -> None:
-        self.weights.append(float(weight))
-        self.vectors.append(vector)
-        self.atoms.append(atom)
-
-    def scale(self, factor: float) -> None:
-        self.weights = [w * factor for w in self.weights]
-
-    def sigma(self) -> np.ndarray:
-        if not self.weights:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        arr = np.stack(self.vectors)
-        w = np.asarray(self.weights)
-        return hermitian_part((arr.T * w) @ arr.conj())
-
-    def prune(self, tol: float) -> None:
-        keep = [i for i, w in enumerate(self.weights) if w > tol]
-        w = np.asarray([self.weights[i] for i in keep])
-        w = w / w.sum()
-        self.weights = list(w)
-        self.vectors = [self.vectors[i] for i in keep]
-        self.atoms = [self.atoms[i] for i in keep]
-
-    def energies(self, h_diag: np.ndarray) -> np.ndarray:
-        return np.asarray([float((np.abs(v) ** 2 * h_diag).sum()) for v in self.vectors])
+def _mixture(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sigma = sum_a w_a |psi_a><psi_a| over the stacked rows psi_a of vecs."""
+    return hermitian_part((vecs.T * w) @ vecs.conj())
 
 
-def _basis_atoms(sig: DimSig, partition: Partition):
-    """Computational product basis as atoms (they span the maximally mixed state)."""
-    dims = sig.dims
-    out = []
-    for idx in range(sig.total):
-        rem, coords = idx, []
-        for d in reversed(dims):
-            coords.append(rem % d)
-            rem //= d
-        coords.reverse()
-        factors = []
-        for g in partition.groups:
-            dg = int(np.prod([dims[s] for s in g]))
-            pos = 0
-            for s in g:
-                pos = pos * dims[s] + coords[s]
-            f = np.zeros(dg, dtype=complex)
-            f[pos] = 1.0
-            factors.append(f)
-        atom = SepAtom(tuple(factors))
-        vec = np.zeros(sig.total, dtype=complex)
-        vec[idx] = 1.0
-        out.append((atom, vec))
-    return out
+def _basis_factors(sig: DimSig, partition: Partition, idx) -> list[tuple]:
+    """Per-group one-hot factors of the computational product vectors e_idx."""
+    coords = np.unravel_index(idx, sig.dims)
+    per_group = []
+    for g in partition.groups:
+        gdims = [sig.dims[s] for s in g]
+        pos = np.ravel_multi_index([coords[s] for s in g], gdims)
+        per_group.append(np.eye(int(np.prod(gdims)), dtype=complex)[pos])
+    return list(zip(*per_group))
 
 
 def relative_entropy_entanglement(
@@ -393,8 +349,8 @@ def relative_entropy_entanglement(
                 f"infeasible energy bound {e_cap}: ground product energy is {h_diag.min()}"
             )
 
-    atomset = _AtomSet(dim)
-    basis = _basis_atoms(rho.sig, partition)
+    # the mixture: weights w, stacked atom vectors vecs (K x D) and one
+    # factor tuple per atom
     mix_w = 1e-8 if initial_atoms else 0.5
     if h_diag is not None:
         # lower the mixed component until the start respects the energy cap
@@ -402,26 +358,28 @@ def relative_entropy_entanglement(
         if mean > e_cap:
             mix_w = min(mix_w, max(0.0, 0.9 * (e_cap - ground) / (mean - ground)))
     if initial_atoms:
-        for w, atom in initial_atoms:
-            atomset.add(w, atom_vector(atom, rho.sig, partition), atom)
-        atomset.scale((1.0 - mix_w) / sum(atomset.weights))
+        w0 = [float(wt) for wt, _ in initial_atoms]
+        w = np.asarray(w0) * ((1.0 - mix_w) / sum(w0))  # sequential sum, not pairwise
+        vecs = np.stack([atom_vector(a, rho.sig, partition) for _, a in initial_atoms])
+        factors = [a.factors for _, a in initial_atoms]
     else:
         # best single product atom for rho anchors the start
-        best = product_lmo(-rho_mat, rho.sig, partition, opts.restarts, opts.sweeps, rng)
+        best = product_lmo(-rho_mat, rho.sig, partition, opts.restarts, rng)
+        w = np.asarray([1.0 - mix_w])
         if h_diag is None or float((np.abs(best.vector) ** 2 * h_diag).sum()) <= e_cap:
-            atomset.add(1.0 - mix_w, best.vector, best.atom)
+            vecs, factors = best.vector[None, :], [best.atom.factors]
         else:
-            gatom, gvec = basis[int(np.argmin(h_diag))]
-            atomset.add(1.0 - mix_w, gvec, gatom)
-    # the uniform mixture keeps full support; express it through basis atoms
+            ground_idx = int(np.argmin(h_diag))
+            vecs = np.eye(1, dim, ground_idx, dtype=complex)
+            factors = _basis_factors(rho.sig, partition, [ground_idx])
+    # the uniform mixture keeps full support; express it through basis atoms,
+    # each reweighted on its own by the corrective pass
     if mix_w > 0:
-        for atom, vec in basis:
-            atomset.add(mix_w / dim, vec, atom)
-    if not atomset.weights:
-        gatom, gvec = basis[int(np.argmin(h_diag)) if h_diag is not None else 0]
-        atomset.add(1.0, gvec, gatom)
+        w = np.concatenate([w, np.full(dim, mix_w / dim)])
+        vecs = np.vstack([vecs, np.eye(dim, dtype=complex)])
+        factors += _basis_factors(rho.sig, partition, np.arange(dim))
 
-    sigma = atomset.sigma()
+    sigma = _mixture(w, vecs)
     obj = _objective(rho_mat, sigma, tr_rho_ln_rho)
     gap = math.inf
     spread = 0.0
@@ -438,7 +396,7 @@ def relative_entropy_entanglement(
         candidates = []
         for mu in mu_grid:
             objective_mat = g_mat if mu == 0.0 else g_mat + mu * np.diag(h_diag)
-            res = product_lmo(objective_mat, rho.sig, partition, opts.restarts, opts.sweeps, rng)
+            res = product_lmo(objective_mat, rho.sig, partition, opts.restarts, rng)
             candidates.append(res)
             if constraint is None:
                 break
@@ -470,7 +428,7 @@ def relative_entropy_entanglement(
             def h_line(t, direction=direction):
                 return _objective(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
 
-            t_star = _golden(h_line, 0.0, t_max, iters=opts.line_iters)
+            t_star = _golden(h_line, 0.0, t_max)
             val = h_line(t_star)
             if best_step is None or val < best_step[0]:
                 best_step = (val, t_star, res)
@@ -480,34 +438,27 @@ def relative_entropy_entanglement(
         else:
             _, t_star, res = best_step
         if t_star > 0.0:
-            atomset.scale(1.0 - t_star)
-            duplicate = next(
-                (
-                    i
-                    for i, v in enumerate(atomset.vectors)
-                    if abs(np.vdot(v, res.vector)) ** 2 > 1.0 - 1e-12
-                ),
-                None,
-            )
-            if duplicate is None:
-                atomset.add(t_star, res.vector, res.atom)
+            w = w * (1.0 - t_star)
+            duplicate = np.abs(vecs.conj() @ res.vector) ** 2 > 1.0 - 1e-12
+            if duplicate.any():
+                w[np.argmax(duplicate)] += t_star
             else:
-                atomset.weights[duplicate] += t_star
-            sigma = atomset.sigma()
+                w = np.append(w, t_star)
+                vecs = np.vstack([vecs, res.vector])
+                factors.append(res.atom.factors)
+            sigma = _mixture(w, vecs)
         # corrective pass: multiplicative weight rebalancing over the atoms.
         # The update w_a <- w_a <psi_a|(-G)|psi_a> preserves normalization
         # (Tr(-G sigma) = 1) and fixes the inner simplex KKT conditions;
         # it is accepted only while the objective keeps descending.
-        arr = np.stack(atomset.vectors)
-        warr = np.asarray(atomset.weights)
         cur_obj, g_pol = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
-        atom_energies = atomset.energies(h_diag) if h_diag is not None else None
-        for _ in range(opts.polish_iters):
-            m = np.clip(-_quad_forms(arr, g_pol), 0.0, None)
-            pol_gap = float(m.max() - warr @ m)
+        atom_energies = (np.abs(vecs) ** 2 * h_diag).sum(axis=1) if h_diag is not None else None
+        for _ in range(POLISH_ITERS):
+            m = np.clip(-_quad_forms(vecs, g_pol), 0.0, None)
+            pol_gap = float(m.max() - w @ m)
             if pol_gap <= max(opts.tol * 0.1, 1e-13):
                 break
-            neww = warr * m
+            neww = w * m
             s = neww.sum()
             if s <= 0:
                 break
@@ -516,23 +467,25 @@ def relative_entropy_entanglement(
                 e_new = float(neww @ atom_energies)
                 if e_new > e_cap + 1e-12:
                     # project back toward the current feasible weights
-                    e_now = float(warr @ atom_energies)
+                    e_now = float(w @ atom_energies)
                     lam = (e_cap - e_now) / (e_new - e_now) if e_new > e_now else 0.0
-                    neww = warr + max(0.0, lam) * (neww - warr)
-            nsigma = hermitian_part((arr.T * neww) @ arr.conj())
+                    neww = w + max(0.0, lam) * (neww - w)
+            nsigma = _mixture(neww, vecs)
             nobj, ng = _obj_and_grad(rho_mat, nsigma, tr_rho_ln_rho)
             if nobj > cur_obj + 1e-14:
                 break
-            warr, sigma, cur_obj, g_pol = neww, nsigma, nobj, ng
-        atomset.weights = list(warr)
-        atomset.prune(opts.prune_tol)
-        sigma = atomset.sigma()
+            w, sigma, cur_obj, g_pol = neww, nsigma, nobj, ng
+        keep = w > PRUNE_TOL
+        w, vecs = w[keep], vecs[keep]
+        w = w / w.sum()
+        factors = [f for f, kept in zip(factors, keep) if kept]
+        sigma = _mixture(w, vecs)
         obj = _objective(rho_mat, sigma, tr_rho_ln_rho)
         obj_history.append(obj)
-        if len(obj_history) > opts.stall_window:
+        if len(obj_history) > STALL_WINDOW:
             # the heuristic gap can lag far behind the objective; stop once
             # the value itself has stopped moving
-            if obj_history[-opts.stall_window - 1] - obj <= opts.stall_tol:
+            if obj_history[-STALL_WINDOW - 1] - obj <= STALL_TOL:
                 converged = gap <= opts.tol
                 break
 
@@ -540,7 +493,7 @@ def relative_entropy_entanglement(
     # gap against the best lower bound seen anywhere on the trajectory
     # (each iteration's obj - gap lower-bounds the optimum)
     final_obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
-    final = product_lmo(g_mat, rho.sig, partition, opts.restarts, opts.sweeps, rng)
+    final = product_lmo(g_mat, rho.sig, partition, opts.restarts, rng)
     final_gap = float(np.real(np.trace(g_mat @ sigma))) - final.value
     best_lower = max(best_lower, final_obj - final_gap)
     sigma_op = DensityOp(rho.sig, sigma)
@@ -551,7 +504,7 @@ def relative_entropy_entanglement(
         value=float(value),
         gap=float(gap),
         sigma=sigma_op,
-        atoms=list(zip(atomset.weights, atomset.atoms)),
+        atoms=[(wt, SepAtom(f)) for wt, f in zip(w, factors)],
         iterations=iterations,
         converged=converged,
         lmo_spread=spread,
@@ -621,31 +574,33 @@ def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
 def _lift_atoms_to_power(
     atoms: list, sig: DimSig, partition: Partition, k: int, cap: int = 400
 ) -> list:
-    """Products of k copies of first-power atoms, regrouped per party, largest weights first."""
+    """Products of k copies of first-power atoms, regrouped per party.
+
+    Keeps the `cap` heaviest pairs (ties in pair order) and renormalizes
+    their weights; factors are built for the kept pairs only."""
     if k != 2:
         raise ValueError("warm-start lifting is implemented for k = 2")
     dims = sig.dims
+    w = np.asarray([wt for wt, _ in atoms])
+    pair_w = np.outer(w, w).ravel()
+    order = np.argsort(-pair_w, kind="stable")
+    order = order[pair_w[order] >= 1e-12][:cap]
+    total = sum(pair_w[order])  # sequential sum, not pairwise
     lifted = []
-    for wa, a in atoms:
-        for wb, b in atoms:
-            w = wa * wb
-            if w < 1e-12:
-                continue
-            factors = []
-            for g, fa, fb in zip(partition.groups, a.factors, b.factors):
-                shape = [dims[s] for s in g]
-                ta = fa.reshape(shape)
-                tb = fb.reshape(shape)
-                prod = np.tensordot(ta, tb, axes=0)  # a-axes then b-axes
-                m = len(shape)
-                interleave = [i for pair in zip(range(m), range(m, 2 * m)) for i in pair]
-                prod = np.transpose(prod, interleave)
-                factors.append(prod.reshape(-1))
-            lifted.append((w, SepAtom(tuple(factors))))
-    lifted.sort(key=lambda t: -t[0])
-    lifted = lifted[:cap]
-    total = sum(w for w, _ in lifted)
-    return [(w / total, a) for w, a in lifted]
+    for j in order:
+        (_, a), (_, b) = atoms[j // len(atoms)], atoms[j % len(atoms)]
+        factors = []
+        for g, fa, fb in zip(partition.groups, a.factors, b.factors):
+            shape = [dims[s] for s in g]
+            ta = fa.reshape(shape)
+            tb = fb.reshape(shape)
+            prod = np.tensordot(ta, tb, axes=0)  # a-axes then b-axes
+            m = len(shape)
+            interleave = [i for pair in zip(range(m), range(m, 2 * m)) for i in pair]
+            prod = np.transpose(prod, interleave)
+            factors.append(prod.reshape(-1))
+        lifted.append((pair_w[j] / total, SepAtom(tuple(factors))))
+    return lifted
 
 
 def regularized_estimates(

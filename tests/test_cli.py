@@ -77,6 +77,11 @@ def test_missing_field_names_it():
         run({"command": "nosuch"})
 
 
+def test_unknown_solver_opt_rejected():
+    with pytest.raises(ConfigError, match="'opts'"):
+        run({"command": "er", "state": "fixture:bell", "seed": 0, "opts": {"line_iters": 10}})
+
+
 def test_state_rejection_reports_invariant(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": [2], "re": [[0.5, 1.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}))

@@ -11,6 +11,7 @@ from qsep.relent import (
     Partition,
     SepAtom,
     SolverOpts,
+    _lift_atoms_to_power,
     atom_vector,
     energy_sweep,
     product_lmo,
@@ -76,6 +77,13 @@ class TestPartitionAndAtoms:
     def test_atom_norm_validation(self):
         with pytest.raises(ValueError):
             SepAtom((np.array([1.0, 1.0]),))
+
+
+def atom_mixture(atoms, sig, partition):
+    """sum_a w_a |a><a| over (weight, atom) pairs."""
+    vecs = np.stack([atom_vector(a, sig, partition) for _, a in atoms])
+    w = np.asarray([wt for wt, _ in atoms])
+    return (vecs.T * w) @ vecs.conj()
 
 
 class TestProductLmo:
@@ -157,6 +165,17 @@ class TestSolverCore:
             sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=250))
             assert sol.value <= 1e-5
 
+    def test_returned_atoms_rebuild_sigma_grouped(self):
+        # few iterations, so one-hot basis atoms of the start survive; on the
+        # group {0, 2} their factors index a non-contiguous pair of subsystems
+        rho = random_density((2, 3, 2), 12, seed=8)
+        part = Partition(((0, 2), (1,)))
+        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=2))
+        one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
+        assert len(one_hot) >= 2
+        rebuilt = atom_mixture(sol.atoms, rho.sig, part)
+        assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
+
     def test_partition_mismatch(self):
         with pytest.raises(ValueError, match="partition"):
             relative_entropy_entanglement(bell_state(), Partition.finest(3))
@@ -236,6 +255,29 @@ class TestRegularized:
             assert row["value"] == sol.value / k
             assert row["gap"] == sol.gap / k
             assert row["raw_value"] == sol.value
+
+    def test_lifted_pairs_rebuild_tensor_square(self):
+        # at most 20 atoms, so all K^2 <= 400 pairs are kept
+        sig = DimSig((2, 3, 2))
+        part = Partition(((0, 2), (1,)))
+        rng = np.random.default_rng(9)
+        atoms = []
+        for w in rng.dirichlet(np.ones(7)):
+            factors = []
+            for dg in (4, 3):
+                f = rng.standard_normal(dg) + 1j * rng.standard_normal(dg)
+                factors.append(f / np.linalg.norm(f))
+            atoms.append((w, SepAtom(tuple(factors))))
+        sigma = DensityOp(sig, atom_mixture(atoms, sig, part))
+        lifted = _lift_atoms_to_power(atoms, sig, part, 2)
+        assert len(lifted) == 49
+        square = tensor_power_regrouped(sigma, 2)
+        rebuilt = atom_mixture(lifted, square.sig, part)
+        assert np.abs(rebuilt - square.mat).max() < 1e-12
+        capped = _lift_atoms_to_power(atoms, sig, part, 2, cap=5)
+        kept = [w for w, _ in capped]
+        assert len(kept) == 5 and kept == sorted(kept, reverse=True)
+        assert abs(sum(kept) - 1.0) < 1e-12
 
     def test_dimension_overflow_names_kmax(self):
         rho = random_density((8, 8), 8, seed=5)
