@@ -49,10 +49,19 @@ class TruncationPlan:
         return total
 
 
-def _compressed(rho: DensityOp, projectors: dict[int, np.ndarray]) -> np.ndarray:
-    """Unnormalized Q rho Q for Q the product of `projectors` (identity elsewhere)."""
-    maps = [_sandwich(projectors[s]) if s in projectors else None for s in range(rho.sig.nsys)]
-    return _apply_local_maps(rho, maps)
+def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """Checked sorted subset and the rank-r projectors of rho's marginals on it."""
+    subset = tuple(sorted(set(int(s) for s in subset)))
+    if not subset:
+        raise ValueError("subset must name at least one subsystem")
+    dims = rho.sig.dims
+    if any(s < 0 or s >= len(dims) for s in subset):
+        raise ValueError(f"subset {subset} out of range for {len(dims)} subsystems")
+    if r < 1:
+        raise ValueError("rank r must be >= 1")
+    if r > min(dims[s] for s in subset):
+        raise ValueError(f"rank r={r} exceeds a local dimension on subset {subset}")
+    return subset, {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
 
 
 def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
@@ -66,42 +75,41 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
     remain, still above qmat.EIG_FLOOR; from c of about 4e-10 on, none do.
     """
-    mat = _compressed(rho, projectors)
+    maps = [_sandwich(projectors[s]) if s in projectors else None for s in range(rho.sig.nsys)]
+    mat = _apply_local_maps(rho, maps)
     c = float(np.real(np.trace(mat)))
     if c <= ANNIHILATION_TOL:
         return None, c
     return DensityOp(rho.sig, hermitian_part(mat / c)), c
 
 
-def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
-    """Build the rank-r compression plan from rho's own marginals."""
-    subset = tuple(sorted(set(int(s) for s in subset)))
-    if not subset:
-        raise ValueError("subset must name at least one subsystem")
-    dims = rho.sig.dims
-    if any(s < 0 or s >= len(dims) for s in subset):
-        raise ValueError(f"subset {subset} out of range for {len(dims)} subsystems")
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    if r > min(dims[s] for s in subset):
-        raise ValueError(f"rank r={r} exceeds a local dimension on subset {subset}")
-    projs = {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
-    c = float(np.real(np.trace(_compressed(rho, projs))))
-    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
-
-
-def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
-    """Compress rho with the plan's projectors, normalized by its own Tr Q rho."""
-    out, _ = compress(rho, plan.projectors)
+def _require_state(out: DensityOp | None) -> DensityOp:
     if out is None:
         raise ValueError("truncation annihilates state: Tr Q rho is numerically zero")
     return out
 
 
+def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
+    """Build the rank-r compression plan from rho's own marginals."""
+    subset, projs = _rank_projectors(rho, subset, r)
+    _, c = compress(rho, projs)
+    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
+
+
+def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
+    """Compress rho with the plan's projectors, normalized by its own Tr Q rho."""
+    return _require_state(compress(rho, plan.projectors)[0])
+
+
 def truncation_map(rho: DensityOp, subset, r: int) -> tuple[DensityOp, TruncationPlan]:
-    """Normalized compression onto the top-r marginal subspaces of `subset`."""
-    plan = make_plan(rho, subset, r)
-    return apply_plan(rho, plan), plan
+    """Normalized compression onto the top-r marginal subspaces of `subset`.
+
+    One compression serves both the state and the plan's c_r, so the
+    result equals apply_plan(rho, make_plan(rho, subset, r)) bit for bit.
+    """
+    subset, projs = _rank_projectors(rho, subset, r)
+    out, c = compress(rho, projs)
+    return _require_state(out), TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +174,6 @@ def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
 
 
 CHANNEL_REGISTRY = {
-    "identity": None,
     "depolarizing": channel_depolarizing,
     "dephasing": channel_dephasing,
 }
@@ -203,10 +210,8 @@ def make_channel_product(specs: list):
     """Build a state map from per-subsystem specs like ('depolarizing', 0.1)."""
 
     def build(spec):
-        if spec is None or spec == "identity":
-            return None
         name, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
-        if name == "identity":
+        if name is None or name == "identity":
             return None
         if name not in CHANNEL_REGISTRY:
             raise ValueError(f"unknown channel {name!r}")
@@ -224,12 +229,12 @@ def truncation_channels(rho: DensityOp, subset, r: int) -> DensityOp:
     """Trace-preserving truncation: project each selected subsystem onto its
     top-r marginal subspace and reroute the lost weight to the pure state of
     the largest marginal eigenvalue. Projectors come from rho's own marginals."""
-    plan = make_plan(rho, subset, r)
+    subset, projs = _rank_projectors(rho, subset, r)
     chans = [None] * rho.sig.nsys
-    for s in plan.subset:
+    for s in subset:
         marg = partial_trace(rho, [s])
         tau_vec = eigh(marg.mat).eigenvectors[:, 0]
-        chans[s] = channel_project_or_reroute(plan.projectors[s], tau_vec)
+        chans[s] = channel_project_or_reroute(projs[s], tau_vec)
     return apply_local_channels(rho, chans)
 
 
@@ -326,8 +331,6 @@ def _bound_params(template: BoundTemplate, witnesses: list, e_s: float) -> Bound
 
 
 def _envelope_value(params: BoundParams, eps: float) -> float | None:
-    if eps == 0.0:
-        return 0.0
     if eps <= 1.0:
         return fcb_bound(params, eps)
     return None
@@ -419,12 +422,12 @@ def truncation_experiment(
     return ApproxReport(rows=rows)
 
 
-def qmi_function(channel_specs: list | None = None, groups=None):
+def qmi_function(channel_specs: list | None = None):
     """Mutual-information functional, optionally composed with local channels."""
     chan = make_channel_product(channel_specs) if channel_specs else None
 
     def f(rho: DensityOp) -> float:
         out = chan(rho) if chan is not None else rho
-        return mutual_information(out, groups)
+        return mutual_information(out)
 
     return f

@@ -54,28 +54,28 @@ def g_entropy(x: float) -> float:
     return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
 
 
-def relative_entropy(rho: DensityOp, sigma: DensityOp, support_tol: float = SUPPORT_TOL) -> float:
+def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:
     """Tr rho (ln rho - ln sigma), or inf when supp rho leaves supp sigma.
 
     The finite branch is evaluated in sigma's eigenbasis. The support test
     declares divergence when some rho-eigenvector with eigenvalue above
-    `support_tol` has squared projection onto sigma's null space of at
-    least `support_tol`.
+    SUPPORT_TOL has squared projection onto sigma's null space of at
+    least SUPPORT_TOL.
     """
     if rho.sig.dims != sigma.sig.dims:
         raise ValueError(f"signature mismatch: {rho.sig.dims} vs {sigma.sig.dims}")
     dec_r = eigh(rho.mat)
     dec_s = eigh(sigma.mat)
     ws, vs = dec_s.eigenvalues, dec_s.eigenvectors
-    null = vs[:, ws <= support_tol]
+    null = vs[:, ws <= SUPPORT_TOL]
     if null.shape[1]:
-        big = dec_r.eigenvectors[:, dec_r.eigenvalues > support_tol]
+        big = dec_r.eigenvectors[:, dec_r.eigenvalues > SUPPORT_TOL]
         if big.shape[1]:
             leak = (np.abs(null.conj().T @ big) ** 2).sum(axis=0)
-            if leak.max() >= support_tol:
+            if leak.max() >= SUPPORT_TOL:
                 return math.inf
     tr_rho_ln_rho = -_eta_sum(dec_r.eigenvalues)
-    keep = ws > support_tol
+    keep = ws > SUPPORT_TOL
     weights = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho.mat, vs))
     tr_rho_ln_sigma = float((weights[keep] * np.log(np.clip(ws[keep], LOG_FLOOR, None))).sum())
     return tr_rho_ln_rho - tr_rho_ln_sigma

@@ -22,6 +22,7 @@ ENERGY_TOL = 1e-10
 DIM_FLOOR = 64
 DIM_CAP = 1 << 21
 TERM_CRIT = 1e-14
+MEMBERSHIP_SLACK = 1e-8
 
 
 @lru_cache(maxsize=128)
@@ -199,12 +200,7 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
         dims = [None] * len(hams)
     if len(dims) != len(hams):
         raise ValueError("dims must align with hams")
-    levels_list = []
-    for h, d in zip(hams, dims):
-        if d is None and _can_grow(h):
-            levels_list.append(_adequate_dim(h, E, None))
-        else:
-            levels_list.append(_levels_of(h, d))
+    levels_list = [_adequate_dim(h, E, d) for h, d in zip(hams, dims)]
     beta = _common_beta(levels_list, E)
     ents, means = [], []
     for lv in levels_list:
@@ -249,14 +245,10 @@ def squared_hamiltonian_check(h, e_grid, dim: int | None = None) -> list[dict]:
     The truncated ceilings satisfy F_{H^2}(E) <= F_H(sqrt(E)) exactly, so
     rows carry the margin for callers to assert.
     """
-    levels = _levels_of(h, dim) if dim is not None or not _can_grow(h) else None
     rows = []
     for e in e_grid:
         e = float(e)
-        if levels is None:
-            lv = _adequate_dim(h, math.sqrt(e), None)
-        else:
-            lv = levels
+        lv = _adequate_dim(h, math.sqrt(e), dim)
         f_sq = solve_beta(lv**2, e).entropy
         f_lin = solve_beta(lv, math.sqrt(e)).entropy
         rows.append(
@@ -334,12 +326,12 @@ def class_membership_check(
     d_plus: float,
     m: int,
     samples: list,
-    slack: float = 1e-8,
 ) -> SandwichReport:
     """Check the entropy-sandwich and mixing-sandwich conditions on samples.
 
-    Each sample is a (rho, sigma, p) triple. Sampling is one-sided
-    evidence: an empty violation list never claims class membership.
+    Each sample is a (rho, sigma, p) triple; both sandwiches allow
+    MEMBERSHIP_SLACK. Sampling is one-sided evidence: an empty violation
+    list never claims class membership.
     """
     bound_viol, mixing_viol = [], []
     for idx, (rho, sigma, pr) in enumerate(samples):
@@ -348,14 +340,14 @@ def class_membership_check(
         for tag, state in (("rho", rho), ("sigma", sigma)):
             cm = sum(von_neumann_entropy(partial_trace(state, [s])) for s in range(m))
             val = f(state)
-            if not (-c_minus * cm - slack <= val <= c_plus * cm + slack):
+            if not (-c_minus * cm - MEMBERSHIP_SLACK <= val <= c_plus * cm + MEMBERSHIP_SLACK):
                 bound_viol.append(
                     {"sample": idx, "state": tag, "value": val, "C_m": cm}
                 )
         mix = DensityOp(rho.sig, pr * rho.mat + (1.0 - pr) * sigma.mat)
         delta = f(mix) - pr * f(rho) - (1.0 - pr) * f(sigma)
         h2 = binary_entropy(pr)
-        if not (-d_minus * h2 - slack <= delta <= d_plus * h2 + slack):
+        if not (-d_minus * h2 - MEMBERSHIP_SLACK <= delta <= d_plus * h2 + MEMBERSHIP_SLACK):
             mixing_viol.append({"sample": idx, "delta": delta, "h2": h2})
     return SandwichReport(
         checked=len(samples), bound_violations=bound_viol, mixing_violations=mixing_viol

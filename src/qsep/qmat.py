@@ -40,10 +40,6 @@ class DimSig:
     def nsys(self) -> int:
         return len(self.dims)
 
-    def merged(self, groups: list[list[int]]) -> "DimSig":
-        """Signature after joining each group of subsystems into one."""
-        return DimSig(tuple(int(np.prod([self.dims[s] for s in g])) for g in groups))
-
 
 def _as_matrix(a) -> np.ndarray:
     if isinstance(a, DensityOp):

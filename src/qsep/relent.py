@@ -221,9 +221,6 @@ class EnergyConstraint:
             total += np.kron(np.kron(np.ones(before), vals), np.ones(after))
         return total
 
-    def ground_energy(self, sig: DimSig) -> float:
-        return float(self.diagonal(sig).min())
-
 
 @dataclass(frozen=True)
 class ERSolution:
@@ -571,15 +568,11 @@ def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
     return DensityOp(DimSig(tuple(d**k for d in dims)), mat)
 
 
-def _lift_atoms_to_power(
-    atoms: list, sig: DimSig, partition: Partition, k: int, cap: int = 400
-) -> list:
-    """Products of k copies of first-power atoms, regrouped per party.
+def _lift_atoms_to_power(atoms: list, sig: DimSig, partition: Partition, cap: int = 400) -> list:
+    """Products of two copies of first-power atoms, regrouped per party.
 
     Keeps the `cap` heaviest pairs (ties in pair order) and renormalizes
     their weights; factors are built for the kept pairs only."""
-    if k != 2:
-        raise ValueError("warm-start lifting is implemented for k = 2")
     dims = sig.dims
     w = np.asarray([wt for wt, _ in atoms])
     pair_w = np.outer(w, w).ravel()
@@ -610,7 +603,7 @@ def regularized_estimates(
 
     Row k reports E(rho^(x k))/k with its gap also divided by k, so both
     are per copy; `raw_value` keeps the k-copy value. The k = 2 solve
-    warm-starts from the k = 1 atom decomposition squared.
+    warm-starts from the k = 1 atom decomposition squared; k_max is 1 or 2.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -619,6 +612,8 @@ def regularized_estimates(
             f"dimension overflow at k={k_max}; admissible k_max="
             f"{int(math.floor(math.log(DIM_LIMIT) / math.log(rho.sig.total)))}"
         )
+    if k_max not in (1, 2):
+        raise ValueError(f"k_max must be 1 or 2, got {k_max}")
     rows = []
     first: ERSolution | None = None
     for k in range(1, k_max + 1):
@@ -627,7 +622,7 @@ def regularized_estimates(
             first = sol
         else:
             rho_k = tensor_power_regrouped(rho, k)
-            warm = _lift_atoms_to_power(first.atoms, rho.sig, partition, k)
+            warm = _lift_atoms_to_power(first.atoms, rho.sig, partition)
             sol = relative_entropy_entanglement(rho_k, partition, opts, initial_atoms=warm)
         rows.append(
             {
@@ -697,6 +692,9 @@ def truncation_limit_experiment(
 # ---------------------------------------------------------------------------
 
 
+VERIFY_SLACK = 1e-6
+
+
 def _marginal_entropy_sums(rho: DensityOp) -> float:
     """Smallest sum of n-1 marginal entropies (the tightest upper bound)."""
     n = rho.sig.nsys
@@ -709,30 +707,27 @@ def verify_er_inequalities(
     mixing_samples: list[tuple[DensityOp, DensityOp, float]] = (),
     lb1_samples: list[DensityOp] = (),
     lb2_samples: list[DensityOp] = (),
-    partition: Partition | None = None,
     opts: SolverOpts | None = None,
-    slack: float = 1e-6,
 ) -> dict:
     """Check the solver against the exact inequalities the measure satisfies.
 
     Orientation is conservative: upper estimates sit on the small side,
     (value - gap) lower certificates on the large side, so a pass is
-    meaningful despite the heuristic oracle. Violations beyond gap+slack
-    are reported with margins.
+    meaningful despite the heuristic oracle. Every solve uses the finest
+    partition. Violations beyond gap + VERIFY_SLACK are reported with
+    margins.
     """
     opts = opts or SolverOpts()
     rows = []
     violations = []
 
-    def solve(state: DensityOp, part: Partition | None = None) -> ERSolution:
-        return relative_entropy_entanglement(
-            state, part or partition or Partition.finest(state.sig.nsys), opts
-        )
+    def solve(state: DensityOp) -> ERSolution:
+        return relative_entropy_entanglement(state, None, opts)
 
     for i, rho in enumerate(er_ub_samples):
         sol = solve(rho)
         bound = _marginal_entropy_sums(rho)
-        margin = bound + slack - sol.value
+        margin = bound + VERIFY_SLACK - sol.value
         row = {"check": "marginal-upper", "sample": i, "value": sol.value, "bound": bound, "margin": margin}
         rows.append(row)
         if margin < 0:
@@ -744,7 +739,7 @@ def verify_er_inequalities(
         sol_m = solve(mix)
         lhs = p * max(0.0, sol_r.value - sol_r.gap) + (1 - p) * max(0.0, sol_s.value - sol_s.gap)
         rhs = sol_m.value + binary_entropy(p)
-        margin = rhs + slack - lhs
+        margin = rhs + VERIFY_SLACK - lhs
         row = {"check": "mixing", "sample": i, "lhs": lhs, "rhs": rhs, "margin": margin}
         rows.append(row)
         if margin < 0:
@@ -756,7 +751,7 @@ def verify_er_inequalities(
         sol = solve(rho)
         for a in (0, 1):
             lower = -conditional_entropy(rho, part=a)
-            margin = sol.value + slack - lower
+            margin = sol.value + VERIFY_SLACK - lower
             row = {
                 "check": "neg-conditional-lower",
                 "sample": i,
@@ -775,13 +770,13 @@ def verify_er_inequalities(
         purity = float(np.real(np.trace(rho.mat @ rho.mat)))
         if purity < 1.0 - 1e-8:
             raise ValueError("pure-state monogamy checks need pure samples")
-        sol_full = solve(rho, Partition.finest(3))
+        sol_full = solve(rho)
         lhs = max(0.0, sol_full.value - sol_full.gap)
         for i_, j_ in ((0, 1), (1, 2), (2, 0)):
             red = partial_trace(rho, [i_, j_])
-            sol_ij = solve(red, Partition.finest(2))
+            sol_ij = solve(red)
             rhs = sol_ij.value + von_neumann_entropy(red)
-            margin = lhs + slack - rhs
+            margin = lhs + VERIFY_SLACK - rhs
             row = {
                 "check": "pure-monogamy",
                 "sample": i,
@@ -807,7 +802,6 @@ def sequence_convergence_demo(
     rho0: DensityOp,
     partition: Partition | None = None,
     opts: SolverOpts | None = None,
-    reg_k: int = 1,
 ) -> list[dict]:
     """Tabulate distances, mutual information and measure estimates along a sequence.
 
@@ -820,15 +814,13 @@ def sequence_convergence_demo(
     for k, state in enumerate(list(states) + [rho0]):
         label = k if k < len(states) else "limit"
         sol = relative_entropy_entanglement(state, partition, opts)
-        row = {
-            "k": label,
-            "trace_distance": trace_distance(state, rho0),
-            "qmi": mutual_information(state),
-            "value": sol.value,
-            "gap": sol.gap,
-        }
-        if reg_k > 1:
-            reg = regularized_estimates(state, partition, k_max=reg_k, opts=opts)
-            row["reg_estimate"] = min(r["value"] for r in reg)
-        rows.append(row)
+        rows.append(
+            {
+                "k": label,
+                "trace_distance": trace_distance(state, rho0),
+                "qmi": mutual_information(state),
+                "value": sol.value,
+                "gap": sol.gap,
+            }
+        )
     return rows

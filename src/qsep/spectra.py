@@ -26,6 +26,7 @@ HEAD_N = 50_000
 DEFAULT_BETAS = (0.2, 0.1, 0.05, 0.02, 0.01)
 TERM_CUT = 1e-12
 T_CEIL = 700.0
+CHECK_N = 100_000
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -515,21 +516,20 @@ class CheckResult:
     probe_partial: float | None = None
 
 
-def check_entropy_criterion(s: SpectrumFamily, n_max: int = 100_000) -> CheckResult:
+def check_entropy_criterion(s: SpectrumFamily) -> CheckResult:
     """Classify sum lambda_i ln i (finite-entropy criterion) and report a partial sum."""
-    return CheckResult(verdict=s.classify_weighted(1.0), partial=s.weighted_partial(1.0, n_max))
+    return CheckResult(verdict=s.classify_weighted(1.0), partial=s.weighted_partial(1.0, CHECK_N))
 
 
-def check_fa_sufficient(
-    s: SpectrumFamily, n_max: int = 100_000, probe_q: float | None = None
-) -> CheckResult:
+def check_fa_sufficient(s: SpectrumFamily, probe_q: float | None = None) -> CheckResult:
     """Classify sum lambda_i ln^2 i, optionally probing ln^q for a caller q > 2.
 
     The ln^2 verdict is the sufficient approximability condition; the
     probe reproduces the older power-law test that it strengthens.
+    Partial sums run over the first CHECK_N terms.
     """
     verdict = s.classify_weighted(2.0)
-    partial = s.weighted_partial(2.0, n_max)
+    partial = s.weighted_partial(2.0, CHECK_N)
     if probe_q is None:
         return CheckResult(verdict=verdict, partial=partial)
     if probe_q <= 2.0:
@@ -539,7 +539,7 @@ def check_fa_sufficient(
         partial=partial,
         probe_q=probe_q,
         probe_verdict=s.classify_weighted(probe_q),
-        probe_partial=s.weighted_partial(probe_q, n_max),
+        probe_partial=s.weighted_partial(probe_q, CHECK_N),
     )
 
 
@@ -567,7 +567,7 @@ def _extrapolate(betas: np.ndarray, values: np.ndarray) -> float:
 def zeta_limit(h, betas=None, n_max: int = 2_000_000) -> ZetaResult:
     """Evaluate [Tr e^{-beta H}]^beta along a beta grid and extrapolate to 0+.
 
-    Accepts a HamiltonianSpec or any object exposing partition_value
+    Accepts a HamiltonianSpec or any object exposing log_partition_value
     (witnesses qualify). Divergent partition sums yield inf values and an
     inf extrapolation; that is a recorded outcome, not an error.
     """
@@ -650,27 +650,19 @@ class FAWitness:
                 log_total = float(np.logaddexp(log_total, math.log(seg) + ref))
         return log_total
 
-    def partition_value(self, beta: float, n_max: int = 2_000_000) -> float:
-        """Sum_i e^{-beta g_i}; inf when beyond float range."""
-        lv = self.log_partition_value(beta, n_max)
-        return math.exp(lv) if lv < 700.0 else math.inf
 
-
-def build_fa_witness(
-    s: SpectrumFamily, n_max: int = 100_000, halving: float | None = None
-) -> FAWitness:
+def build_fa_witness(s: SpectrumFamily) -> FAWitness:
     """Adaptive witness for a spectrum passing the ln^2 sufficiency check.
 
     Block k ends where the remaining tail of sum lambda_i ln^2 i has
     shrunk by the halving factor k times; c_i = k on block k, so the
-    witness mean telescopes to a finite value. The factor defaults to 2
-    but drops automatically for families whose tail-halving indices grow
-    doubly exponentially, where unit-step c_i would grow too slowly for
-    the partition values to approach 1 at any feasible inverse
-    temperature. Raises when the sufficient condition is not established
-    for the family.
+    witness mean telescopes to a finite value. The factor is 2, or 1.05
+    for families whose tail-halving indices grow doubly exponentially,
+    where unit-step c_i would grow too slowly for the partition values to
+    approach 1 at any feasible inverse temperature. Raises when the
+    sufficient condition is not established for the family.
     """
-    if check_fa_sufficient(s, n_max=min(n_max, HEAD_N)).verdict != CONVERGES:
+    if s.classify_weighted(2.0) != CONVERGES:
         raise ValueError("no witness: the ln^2-weighted sum is not known to converge")
 
     head_tail = s.weighted_tail_from(2.0, HEAD_N)
@@ -704,13 +696,9 @@ def build_fa_witness(
             return math.log(n + 0.5)
         return hi
 
-    if halving is None:
-        # families whose tail-halving boundaries explode doubly exponentially
-        # need gentler blocks so c_i reaches useful sizes at feasible betas
-        probe = boundary_for(total * 0.125, 0.0)
-        halving = 1.05 if probe > 100.0 else 2.0
-    if halving <= 1.0:
-        raise ValueError("halving factor must exceed 1")
+    # families whose tail-halving boundaries explode doubly exponentially
+    # need gentler blocks so c_i reaches useful sizes at feasible betas
+    halving = 1.05 if boundary_for(total * 0.125, 0.0) > 100.0 else 2.0
 
     bounds: list[float] = []
     tails: list[float] = [total]

@@ -13,6 +13,7 @@ from qsep.approx import (
     envelope_from_families,
     energy_growth_check,
     gentle_bound_check,
+    make_channel_product,
     make_plan,
     projection_mass_check,
     qmi_function,
@@ -101,6 +102,10 @@ class TestTruncationMap:
         assert abs(plan.c_r - np.trace(dense).real) < 1e-12
         got = apply_plan(rho, plan)
         assert np.abs(got.mat - dense / np.trace(dense).real).max() < 1e-12
+        # truncation_map compresses once; state and c_r match the two-step path bit for bit
+        once, plan_once = truncation_map(rho, list(range(len(dims))), 1)
+        assert np.array_equal(once.mat, got.mat)
+        assert plan_once.c_r == plan.c_r
 
     def test_plan_applied_to_another_state(self):
         rho = random_density((2, 3), 6, seed=21)
@@ -178,6 +183,12 @@ class TestLocalChannels:
         rho = bell_state()
         out = apply_local_channels(rho, [channel_dephasing(1.0), None])
         assert abs(out.mat[0, 3]) < 1e-12
+
+    @pytest.mark.parametrize("spec", [None, "identity", ("identity",)])
+    def test_identity_specs_leave_state_unchanged(self, spec):
+        rho = random_density((2, 3), 6, seed=7)
+        out = make_channel_product([spec, spec])(rho)
+        assert np.array_equal(out.mat, rho.mat)
 
     def test_qmi_monotone_under_local_channels(self):
         f = qmi_function(channel_specs=[("depolarizing", 0.3), ("dephasing", 0.2)])

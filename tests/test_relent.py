@@ -269,12 +269,12 @@ class TestRegularized:
                 factors.append(f / np.linalg.norm(f))
             atoms.append((w, SepAtom(tuple(factors))))
         sigma = DensityOp(sig, atom_mixture(atoms, sig, part))
-        lifted = _lift_atoms_to_power(atoms, sig, part, 2)
+        lifted = _lift_atoms_to_power(atoms, sig, part)
         assert len(lifted) == 49
         square = tensor_power_regrouped(sigma, 2)
         rebuilt = atom_mixture(lifted, square.sig, part)
         assert np.abs(rebuilt - square.mat).max() < 1e-12
-        capped = _lift_atoms_to_power(atoms, sig, part, 2, cap=5)
+        capped = _lift_atoms_to_power(atoms, sig, part, cap=5)
         kept = [w for w, _ in capped]
         assert len(kept) == 5 and kept == sorted(kept, reverse=True)
         assert abs(sum(kept) - 1.0) < 1e-12
@@ -283,6 +283,11 @@ class TestRegularized:
         rho = random_density((8, 8), 8, seed=5)
         with pytest.raises(ValueError, match="admissible k_max=2"):
             regularized_estimates(rho, k_max=3, opts=FAST)
+
+    def test_unsupported_kmax_rejected_before_solving(self):
+        # 4^3 = 64 passes the dimension check; the warm start covers two copies only
+        with pytest.raises(ValueError, match="k_max"):
+            regularized_estimates(bell_state(), k_max=3)
 
     def test_regrouped_power_structure(self):
         rho = random_density((2, 3), 5, seed=6)
