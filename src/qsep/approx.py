@@ -385,23 +385,31 @@ def truncation_experiment(
     (marginal tail masses and Tr G rho_marginal), so each row instantiates
     the envelope inequality exactly. Witness inputs are optional; without
     them only (r, c_r, eps_r, gentle, f values, diff) is reported.
+    `witness_subsystems` (default 0, 1, ...) names one distinct subsystem
+    per witness; a list of another length, a repeated subsystem or one out
+    of range raises ValueError.
     """
-    f_exact = f(rho)
     params = None
     if witnesses is not None:
         if template is None:
             raise ValueError("witnesses need a bound template for the envelope")
         if witness_subsystems is None:
             witness_subsystems = list(range(len(witnesses)))
+        subs = [int(s) for s in witness_subsystems]
+        if len(subs) != len(witnesses):
+            raise ValueError(f"{len(witnesses)} witnesses but {len(subs)} witness subsystems")
+        if len(set(subs)) < len(subs) or not set(subs) <= set(range(rho.sig.nsys)):
+            raise ValueError(f"witness subsystems {subs} must be distinct subsystems of 0..{rho.sig.nsys - 1}")
         g_ops = {
             s: witness_operator(rho, s, np.asarray(w.g_values(rho.sig.dims[s])))
-            for s, w in zip(witness_subsystems, witnesses)
+            for s, w in zip(subs, witnesses)
         }
         e_s = sum(
             float(np.real(np.trace(g_ops[s] @ partial_trace(rho, [s]).mat)))
-            for s in witness_subsystems
+            for s in subs
         )
         params = _bound_params(template, list(witnesses), e_s)
+    f_exact = f(rho)
     rows = []
     for r in r_grid:
         out, plan = truncation_map(rho, subset, int(r))

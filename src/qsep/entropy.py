@@ -31,8 +31,23 @@ def _eta_sum(w: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOp) -> float:
-    """Entropy of a state: sum of eta over its eigenvalues."""
-    return _eta_sum(np.linalg.eigvalsh(rho.mat))
+    """Entropy of a state: sum of eta over its eigenvalues.
+
+    An exactly diagonal matrix (every off-diagonal entry is zero) takes its
+    spectrum from the sorted real diagonal, with no eigensolver. This is
+    exact, not an approximation: LAPACK's Hermitian eigensolver reduces a
+    diagonal matrix to a tridiagonal one with zero off-diagonal, so
+    np.linalg.eigvalsh returns the same ascending diagonal bit for bit.
+    Any other matrix goes through eigvalsh.
+    """
+    m = rho.mat
+    d = m.shape[0]
+    # row k of the (d-1) x (d+1) view runs from just after diagonal entry k
+    # to diagonal entry k+1; without its last column it holds exactly the
+    # off-diagonal entries, read in place
+    if not np.any(m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1]):
+        return _eta_sum(np.sort(m.diagonal().real))
+    return _eta_sum(np.linalg.eigvalsh(m))
 
 
 def binary_entropy(p: float) -> float:

@@ -607,16 +607,13 @@ class FAWitness:
     block_bounds_t: tuple[float, ...]
     energy: float
 
-    def c_of(self, i) -> np.ndarray:
-        t = np.log(np.atleast_1d(np.asarray(i, dtype=float)))
-        return 1.0 + np.searchsorted(np.asarray(self.block_bounds_t), t, side="right")
-
     def g(self, i) -> np.ndarray:
         """Witness values, vectorized over indices >= 1."""
         i = np.atleast_1d(np.asarray(i, dtype=float))
         if (i < 1).any():
             raise ValueError("witness indices start at 1")
-        return self.c_of(i) * np.log(i) ** 2
+        t = np.log(i)
+        return (1.0 + np.searchsorted(np.asarray(self.block_bounds_t), t, side="right")) * t**2
 
     def g_values(self, dim: int) -> np.ndarray:
         return self.g(np.arange(1, dim + 1))

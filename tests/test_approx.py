@@ -22,8 +22,8 @@ from qsep.approx import (
     truncation_map,
     witness_operator,
 )
-from qsep.entropy import mutual_information
-from qsep.fixtures import bell_state, geometric_gibbs_product
+from qsep.entropy import _eta_sum, mutual_information
+from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, ghz_state
 from qsep.qmat import DensityOp, DimSig, partial_trace, product_operator, random_density
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
 
@@ -325,8 +325,6 @@ class TestExperimentHarness:
             ).astype(complex),
         )
         # correlated diagonal mixture with geometric(0.5)-truncated marginals
-        from qsep.fixtures import correlated_geometric_state
-
         rho = correlated_geometric_state(0.5, 4, 3)
         fam = SpectrumFamily.geometric(0.5)
         witnesses = [build_fa_witness(fam), build_fa_witness(fam)]
@@ -344,3 +342,40 @@ class TestExperimentHarness:
             if row["Y_r"] is not None:
                 assert row["diff"] <= row["Y_r"] + 1e-8
         assert rep.worst_envelope_margin() >= -1e-8
+
+    @pytest.mark.parametrize(
+        "subsystems, count",
+        [([0], 2), ([0, 0], 2), ([0, 3], 2), (None, 4)],
+        ids=["shorter", "repeated", "out-of-range", "more-witnesses-than-parties"],
+    )
+    def test_witness_subsystems_checked(self, subsystems, count):
+        witness = build_fa_witness(SpectrumFamily.geometric(0.5))
+        with pytest.raises(ValueError, match="witness"):
+            truncation_experiment(
+                ghz_state(),
+                qmi_function(),
+                [0],
+                [1],
+                witnesses=[witness] * count,
+                witness_subsystems=subsystems,
+                template=BoundTemplate(C=2.0, D=3.0),
+            )
+
+    def test_qmi_bits_match_eigensolver(self, monkeypatch):
+        # the README approx channels on a D=64 correlated state: every state
+        # met is exactly diagonal, so the entropy shortcut must reproduce the
+        # eigvalsh-based QMI bit for bit (the CSV bytes depend on it)
+        import qsep.entropy as entropy_mod
+
+        rho = correlated_geometric_state(0.02, 4, 3)
+        states = [rho] + [truncation_map(rho, [0, 1, 2], r)[0] for r in (1, 2, 3)]
+        f = qmi_function(channel_specs=[("depolarizing", 0.05), ("dephasing", 0.1), "identity"])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        fast = [f(x) for x in states]
+        assert calls == []
+        monkeypatch.setattr(
+            entropy_mod, "von_neumann_entropy", lambda x: _eta_sum(eigvalsh(x.mat))
+        )
+        assert fast == [f(x) for x in states]

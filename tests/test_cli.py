@@ -136,6 +136,23 @@ def test_approx_command(tmp_path):
     assert len(rec["csv"]["rows"]) == 4
 
 
+def test_approx_witness_count_error_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "command": "approx",
+                "state": "fixture:ghz3",
+                "subset": [0],
+                "r_grid": [1],
+                "witness_families": ["geometric:0.5"] * 4,
+            }
+        )
+    )
+    assert main(["approx", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_theorem2_command(tmp_path):
     rec = run(
         {

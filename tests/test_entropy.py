@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsep.entropy import (
+    _eta_sum,
     binary_entropy,
     conditional_entropy,
     g_entropy,
@@ -35,6 +36,37 @@ def test_entropy_scalar_sum_oracle():
     want = -sum(p * math.log(p) for p in probs)
     assert abs(want - 1.5 * math.log(2)) < 1e-15
     assert abs(von_neumann_entropy(dop((3,), np.diag(probs))) - want) < 1e-12
+
+
+_RNG = np.random.default_rng(20261018)
+_W9 = _RNG.random(9)
+_W64 = _RNG.random(64)
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        pytest.param(_W9 / _W9.sum(), id="random-unsorted"),
+        pytest.param([0.25, 0.125, 0.25, 0.125, 0.25], id="repeated"),
+        pytest.param([0.0, 0.5, 0.0, 0.3, 0.2, 0.0], id="zeros"),
+        pytest.param([1.0], id="d1"),
+        pytest.param(_W64 / _W64.sum(), id="d64"),
+    ],
+)
+def test_entropy_of_diagonal_equals_eigensolver_bits(diag):
+    mat = np.diag(np.asarray(diag, dtype=complex))
+    assert von_neumann_entropy(dop((mat.shape[0],), mat)) == _eta_sum(np.linalg.eigvalsh(mat))
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 5), (4, 5)])
+def test_entropy_single_off_diagonal_pair_uses_eigensolver(i, j):
+    # a rank-one |+><+|-type block on (i, j): spectrum {0.5, 0}, not the diagonal {0.25, 0.25}
+    mat = np.diag(np.full(6, 0.125)).astype(complex)
+    mat[i, i] = mat[j, j] = 0.25
+    mat[i, j], mat[j, i] = 0.25j, -0.25j
+    got = von_neumann_entropy(dop((6,), mat))
+    assert got == _eta_sum(np.linalg.eigvalsh(mat))
+    assert abs(got - _eta_sum(np.sort(mat.diagonal().real))) > 0.1
 
 
 def test_binary_entropy_symmetric_point():
