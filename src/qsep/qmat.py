@@ -48,7 +48,8 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    """(m + m^dagger) / 2 of a matrix, or of each matrix of a stack (..., D, D)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_residual(m: np.ndarray) -> float:

@@ -103,18 +103,22 @@ class LmoResult:
     spread: float
 
 
-def _group_views(g_mat: np.ndarray, dims: tuple[int, ...], groups) -> list:
-    """Per-group reshapes of G with the group axes leading: (dg, drest, dg, drest)."""
+def _group_views(g_mats: np.ndarray, dims: tuple[int, ...], groups) -> list:
+    """Per-group contraction layouts of a stack of G: (M, drest, dg * dg * drest).
+
+    Axes run (rest row, group row, group column, rest column), so one
+    matmul with the rest factors' conjugates contracts the rest rows."""
     n = len(dims)
-    gt = g_mat.reshape(dims + dims)
+    n_m = g_mats.shape[0]
+    gt = g_mats.reshape((n_m,) + dims + dims)
     views = []
     for g in groups:
         others = [s for s in range(n) if s not in g]
-        perm = list(g) + others
-        permuted = np.transpose(gt, perm + [n + s for s in perm])
+        axes = [0] + [1 + s for s in others] + [1 + s for s in g]
+        axes += [1 + n + s for s in g] + [1 + n + s for s in others]
         dg = int(np.prod([dims[s] for s in g]))
         dr = int(np.prod([dims[s] for s in others])) if others else 1
-        views.append((np.ascontiguousarray(permuted).reshape(dg, dr, dg, dr), others))
+        views.append((np.ascontiguousarray(np.transpose(gt, axes)).reshape(n_m, dr, dg * dg * dr), others))
     return views
 
 
@@ -135,57 +139,90 @@ def _others_batch(partition: Partition, factors, dims, others: list[int], skip: 
 
 
 def product_lmo(
-    g_mat: np.ndarray,
+    g_mats: np.ndarray,
     sig: DimSig,
     partition: Partition,
     restarts: int = 8,
     rng: np.random.Generator | int | None = 0,
-) -> LmoResult:
-    """Approximate minimizer of <psi|G|psi> over product unit vectors.
+) -> list[LmoResult]:
+    """Approximate minimizers of <psi|G_m|psi> over product unit vectors,
+    one for each matrix of the stack g_mats (M, D, D).
 
     Alternating updates: with all factors but one fixed, the optimal
     remaining factor is the minimal eigenvector of the contracted
-    operator. All restarts sweep in lockstep (batched eigensolves); the
-    best attained value wins, ties keeping the earliest restart. The
-    restart spread (max - min attained value) is a quality diagnostic for
-    this NP-hard subproblem.
+    operator. All M x restarts lanes sweep in lockstep (one batched
+    contraction and one stacked eigensolve per group and sweep). Each
+    block of `restarts` lanes stops on its own stall, when no lane's value
+    moved by more than 1e-13 (relative) over a sweep; the stalled blocks
+    leave the live set at once. Restarts are drawn block by block, in the
+    order M one-matrix calls would draw them, so the generator ends in the
+    same state and every block's result equals that of its own call. Per
+    block the best attained value wins, ties keeping the earliest restart;
+    the restart spread (max - min attained value) is a quality diagnostic
+    for this NP-hard subproblem.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     dims = sig.dims
     groups = partition.groups
-    views = _group_views(g_mat, dims, groups)
+    n_m = g_mats.shape[0]
+    views = _group_views(g_mats, dims, groups)
     gdims = [int(np.prod([dims[s] for s in g])) for g in groups]
     n_r = max(1, restarts)
-    factors = []
-    for dg in gdims:
-        v = rng.standard_normal((n_r, dg)) + 1j * rng.standard_normal((n_r, dg))
-        factors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-    vals = np.full(n_r, math.inf)
-    for _ in range(LMO_SWEEPS):
-        prev = vals.copy()
+    drawn = []
+    for _ in range(n_m):
+        for dg in gdims:
+            v = rng.standard_normal((n_r, dg)) + 1j * rng.standard_normal((n_r, dg))
+            drawn.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    factors = [np.concatenate(drawn[j :: len(gdims)]) for j in range(len(gdims))]
+    # final per-block factors and values; rows of the live arrays belong to
+    # the blocks in `live`, restarts contiguous within a block
+    out_factors = [np.empty((n_m, n_r, dg), dtype=complex) for dg in gdims]
+    out_vals = np.empty((n_m, n_r))
+    live = np.arange(n_m)
+    vals = np.full(n_m * n_r, math.inf)
+    for sweep in range(LMO_SWEEPS):
+        prev = vals
+        n_live = len(live)
         for j in range(len(groups)):
             view, others = views[j]
             if len(groups) == 2:
                 o = factors[1 - j]
             else:
                 o = _others_batch(partition, factors, dims, others, skip=j)
-            dg, dr = view.shape[0], view.shape[1]
-            t = np.tensordot(o.conj(), view, axes=([1], [1]))  # (Z, dg, dg, dr)
-            eff = np.matmul(t.reshape(n_r, dg * dg, dr), o[:, :, None]).reshape(n_r, dg, dg)
+            dg, dr = gdims[j], view.shape[1]
+            t = np.matmul(o.conj().reshape(n_live, n_r, dr), view)  # (L, Z, dg * dg * dr)
+            eff = np.matmul(t.reshape(n_live * n_r, dg * dg, dr), o[:, :, None]).reshape(-1, dg, dg)
             eff = (eff + eff.conj().transpose(0, 2, 1)) / 2
             w, v = np.linalg.eigh(eff)
             factors[j] = np.ascontiguousarray(v[:, :, 0])
             vals = w[:, 0]
-        if np.abs(prev - vals).max() <= 1e-13 * max(1.0, float(np.abs(vals).max())):
-            break
-    best = int(np.argmin(vals))
-    atom = SepAtom(tuple(f[best] for f in factors))
-    vec = atom_vector(atom, sig, partition)
-    value = float(np.real(vec.conj() @ g_mat @ vec))
-    return LmoResult(
-        atom=atom, vector=vec, value=value, spread=float(vals.max() - vals.min())
-    )
+        moved = np.abs(prev - vals).reshape(n_live, n_r).max(axis=1)
+        stalled = moved <= 1e-13 * np.maximum(1.0, np.abs(vals).reshape(n_live, n_r).max(axis=1))
+        stalled |= sweep == LMO_SWEEPS - 1  # out of sweeps: every live block ends here
+        if stalled.any():
+            done = live[stalled]
+            for j, f in enumerate(factors):
+                out_factors[j][done] = f.reshape(n_live, n_r, -1)[stalled]
+            out_vals[done] = vals.reshape(n_live, n_r)[stalled]
+            keep = ~stalled
+            if not keep.any():
+                break
+            # compact only when a block stalls: indexing the live set on
+            # every sweep costs more than the sweep saves on one block
+            live = live[keep]
+            views = [(view[keep], others) for view, others in views]
+            factors = [f.reshape(n_live, n_r, -1)[keep].reshape(-1, f.shape[1]) for f in factors]
+            vals = vals.reshape(n_live, n_r)[keep].reshape(-1)
+    results = []
+    for b in range(n_m):
+        bvals = out_vals[b]
+        best = int(np.argmin(bvals))
+        atom = SepAtom(tuple(f[b, best] for f in out_factors))
+        vec = atom_vector(atom, sig, partition)
+        value = float(np.real(vec.conj() @ g_mats[b] @ vec))
+        results.append(LmoResult(atom=atom, vector=vec, value=value, spread=float(bvals.max() - bvals.min())))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +279,12 @@ class ERSolution:
         return np.asarray([w for w, _ in self.atoms])
 
 
-def _objective(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float) -> float:
+def _objective(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
+    """D(rho || sigma) for one sigma (D, D), or one value per sigma of a stack (C, D, D)."""
     ws, vs = np.linalg.eigh(hermitian_part(sigma_mat))
-    ws = np.clip(ws, LOG_FLOOR, None)
-    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=0))
-    return tr_rho_ln_rho - float((weights * np.log(ws)).sum())
+    ws = np.maximum(ws, LOG_FLOOR)
+    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=-2))
+    return tr_rho_ln_rho - (weights * np.log(ws)).sum(axis=-1)
 
 
 def _obj_and_grad(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
@@ -254,18 +292,16 @@ def _obj_and_grad(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: flo
 
     The derivative of sigma -> -Tr rho ln sigma in sigma's eigenbasis has
     entries -rho_ij phi(mu_i, mu_j) with phi the logarithm's difference
-    quotient (1/mu on the diagonal)."""
+    quotient (1/mu on the diagonal). No entry divides by zero: near-equal
+    pairs divide by 1.0 in the unused branch, and mu >= LOG_FLOOR."""
     ws, vs = np.linalg.eigh(hermitian_part(sigma_mat))
-    ws = np.clip(ws, LOG_FLOOR, None)
+    ws = np.maximum(ws, LOG_FLOOR)
     rt = vs.conj().T @ rho_mat @ vs
     obj = tr_rho_ln_rho - float((np.real(np.diag(rt)) * np.log(ws)).sum())
     lw = np.log(ws)
     den = ws[:, None] - ws[None, :]
     near = np.abs(den) <= 1e-12 * np.maximum(ws[:, None], ws[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(
-            near, 2.0 / (ws[:, None] + ws[None, :]), (lw[:, None] - lw[None, :]) / np.where(near, 1.0, den)
-        )
+    phi = np.where(near, 2.0 / (ws[:, None] + ws[None, :]), (lw[:, None] - lw[None, :]) / np.where(near, 1.0, den))
     g = vs @ (-rt * phi) @ vs.conj().T
     return obj, hermitian_part(g)
 
@@ -276,23 +312,70 @@ def _quad_forms(arr: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
     return np.real((x * arr).sum(axis=1))
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden(h, lo: float, hi: float) -> float:
     """Golden-section minimizer of a convex scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = h(c), h(d)
     for _ in range(LINE_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - _INVPHI * (b - a)
             fc = h(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + _INVPHI * (b - a)
             fd = h(d)
     return 0.5 * (a + b)
+
+
+def _golden_lockstep(h, hi: np.ndarray) -> np.ndarray:
+    """`_golden` on [0, hi_k] for several convex functions at once.
+
+    h maps a vector of points, one per function, to their values; the
+    bracket updates are `_golden`'s, taken elementwise, so every minimizer
+    equals the scalar search's bit for bit."""
+    a, b = np.zeros_like(hi), hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = h(c), h(d)
+    for _ in range(LINE_ITERS):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = h(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return 0.5 * (a + b)
+
+
+def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho):
+    """Exact line search of D(rho || (1 - t) sigma + t |v><v|) on [0, t_max]
+    for each candidate row v of vecs: (t*, value at t*) arrays.
+
+    Several candidates step in lockstep, one stacked evaluation per step.
+    A single candidate (every unconstrained iteration) keeps the scalar
+    search: a stack of one costs more than the plain matrices."""
+    if len(vecs) == 1:
+        direction = np.outer(vecs[0], vecs[0].conj())
+
+        def h(t):
+            return _objective(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+
+        t_star = _golden(h, 0.0, float(t_max[0]))
+        return np.array([t_star]), np.array([h(t_star)])
+    directions = vecs[:, :, None] * vecs.conj()[:, None, :]
+
+    def h_stack(t):
+        s = t.astype(complex)[:, None, None]
+        return _objective(rho_mat, (1.0 - s) * sigma + s * directions, tr_rho_ln_rho)
+
+    t_star = _golden_lockstep(h_stack, t_max)
+    return t_star, h_stack(t_star)
 
 
 def _mixture(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -349,26 +432,29 @@ def relative_entropy_entanglement(
     # the mixture: weights w, stacked atom vectors vecs (K x D) and one
     # factor tuple per atom
     mix_w = 1e-8 if initial_atoms else 0.5
-    if h_diag is not None:
-        # lower the mixed component until the start respects the energy cap
-        ground, mean = float(h_diag.min()), float(h_diag.mean())
-        if mean > e_cap:
-            mix_w = min(mix_w, max(0.0, 0.9 * (e_cap - ground) / (mean - ground)))
     if initial_atoms:
         w0 = [float(wt) for wt, _ in initial_atoms]
-        w = np.asarray(w0) * ((1.0 - mix_w) / sum(w0))  # sequential sum, not pairwise
         vecs = np.stack([atom_vector(a, rho.sig, partition) for _, a in initial_atoms])
         factors = [a.factors for _, a in initial_atoms]
     else:
         # best single product atom for rho anchors the start
-        best = product_lmo(-rho_mat, rho.sig, partition, opts.restarts, rng)
-        w = np.asarray([1.0 - mix_w])
+        best = product_lmo(-rho_mat[None], rho.sig, partition, opts.restarts, rng)[0]
+        w0 = [1.0]
         if h_diag is None or float((np.abs(best.vector) ** 2 * h_diag).sum()) <= e_cap:
             vecs, factors = best.vector[None, :], [best.atom.factors]
         else:
             ground_idx = int(np.argmin(h_diag))
             vecs = np.eye(1, dim, ground_idx, dtype=complex)
             factors = _basis_factors(rho.sig, partition, [ground_idx])
+    if h_diag is not None:
+        # lower the mixed component until the start respects the energy cap:
+        # the start's energy is (1 - mix_w) e_start + mix_w mean, e_start the
+        # energy of the anchor atom or of the warm mixture
+        e_start = float(np.asarray(w0) @ (np.abs(vecs) ** 2 @ h_diag)) / sum(w0)
+        mean = float(h_diag.mean())
+        if mean > e_cap:
+            mix_w = 0.0 if e_start >= e_cap else min(mix_w, 0.9 * (e_cap - e_start) / (mean - e_start))
+    w = np.asarray(w0) * ((1.0 - mix_w) / sum(w0))  # sequential sum, not pairwise
     # the uniform mixture keeps full support; express it through basis atoms,
     # each reweighted on its own by the corrective pass
     if mix_w > 0:
@@ -381,7 +467,7 @@ def relative_entropy_entanglement(
     gap = math.inf
     spread = 0.0
     converged = False
-    mu_grid = [0.0] + list(np.logspace(-3, 3, 25)) if constraint is not None else [0.0]
+    mu_grid = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
     iterations = 0
     obj_history: list[float] = []
     best_lower = -math.inf
@@ -390,13 +476,13 @@ def relative_entropy_entanglement(
         obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
         base_val = float(np.real(np.trace(g_mat @ sigma)))
         # candidate atoms (one per multiplier when constrained)
-        candidates = []
-        for mu in mu_grid:
-            objective_mat = g_mat if mu == 0.0 else g_mat + mu * np.diag(h_diag)
-            res = product_lmo(objective_mat, rho.sig, partition, opts.restarts, rng)
-            candidates.append(res)
-            if constraint is None:
-                break
+        if constraint is None:
+            stack = g_mat[None]
+        else:
+            stack = np.empty((len(mu_grid),) + g_mat.shape, dtype=complex)
+            stack[0] = g_mat
+            stack[1:] = g_mat + mu_grid[1:, None, None] * np.diag(h_diag)
+        candidates = product_lmo(stack, rho.sig, partition, opts.restarts, rng)
         plain = candidates[0]
         gap = base_val - float(np.real(plain.vector.conj() @ g_mat @ plain.vector))
         spread = max(spread, plain.spread)
@@ -405,30 +491,23 @@ def relative_entropy_entanglement(
             converged = True
             break
         e_sigma = float((np.abs(np.diag(sigma)) * h_diag).sum()) if h_diag is not None else 0.0
-        best_step = None
+        feasible, t_maxes = [], []
         for res in candidates:
-            vec = res.vector
+            t_max = 1.0
             if h_diag is not None:
-                e_atom = float((np.abs(vec) ** 2 * h_diag).sum())
-                if e_atom <= e_cap + 1e-12:
-                    t_max = 1.0
-                elif e_atom > e_sigma:
+                e_atom = float((np.abs(res.vector) ** 2 * h_diag).sum())
+                if e_atom > e_cap + 1e-12 and e_atom > e_sigma:
                     t_max = max(0.0, (e_cap - e_sigma) / (e_atom - e_sigma))
-                else:
-                    t_max = 1.0
-            else:
-                t_max = 1.0
-            if t_max <= 0.0:
-                continue
-            direction = np.outer(vec, vec.conj())
-
-            def h_line(t, direction=direction):
-                return _objective(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
-
-            t_star = _golden(h_line, 0.0, t_max)
-            val = h_line(t_star)
-            if best_step is None or val < best_step[0]:
-                best_step = (val, t_star, res)
+            if t_max > 0.0:
+                feasible.append(res)
+                t_maxes.append(t_max)
+        best_step = None
+        if feasible:
+            cand_vecs = np.stack([res.vector for res in feasible])
+            t_stars, vals = _line_search(rho_mat, sigma, cand_vecs, np.asarray(t_maxes), tr_rho_ln_rho)
+            for t_star, val, res in zip(t_stars, vals, feasible):
+                if best_step is None or val < best_step[0]:
+                    best_step = (val, float(t_star), res)
         if best_step is None or best_step[0] >= obj - 1e-15:
             t_star = 0.0
             res = plain
@@ -490,7 +569,7 @@ def relative_entropy_entanglement(
     # gap against the best lower bound seen anywhere on the trajectory
     # (each iteration's obj - gap lower-bounds the optimum)
     final_obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
-    final = product_lmo(g_mat, rho.sig, partition, opts.restarts, rng)
+    final = product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng)[0]
     final_gap = float(np.real(np.trace(g_mat @ sigma))) - final.value
     best_lower = max(best_lower, final_obj - final_gap)
     sigma_op = DensityOp(rho.sig, sigma)

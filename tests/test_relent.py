@@ -11,7 +11,10 @@ from qsep.relent import (
     Partition,
     SepAtom,
     SolverOpts,
+    _golden,
     _lift_atoms_to_power,
+    _line_search,
+    _objective,
     atom_vector,
     energy_sweep,
     product_lmo,
@@ -79,6 +82,16 @@ class TestPartitionAndAtoms:
             SepAtom((np.array([1.0, 1.0]),))
 
 
+def unit(rng, d):
+    f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return f / np.linalg.norm(f)
+
+
+def sigma_energy(sol, constraint, sig):
+    """Tr H sigma of a solution."""
+    return float(constraint.diagonal(sig) @ np.real(np.diag(sol.sigma.mat)))
+
+
 def atom_mixture(atoms, sig, partition):
     """sum_a w_a |a><a| over (weight, atom) pairs."""
     vecs = np.stack([atom_vector(a, sig, partition) for _, a in atoms])
@@ -89,7 +102,7 @@ def atom_mixture(atoms, sig, partition):
 class TestProductLmo:
     def test_diagonal_aligned(self):
         g = np.diag([3.0, 1.0, 2.0, 5.0]).astype(complex)
-        res = product_lmo(g, DimSig((2, 2)), Partition.finest(2), rng=0)
+        res = product_lmo(g[None], DimSig((2, 2)), Partition.finest(2), rng=0)[0]
         assert abs(res.value - 1.0) < 1e-12
 
     def test_projector_complement_dense_grid_oracle(self):
@@ -109,15 +122,77 @@ class TestProductLmo:
                     v = np.kron(a, np.array([math.cos(tb / 2), math.sin(tb / 2)]))
                     best = max(best, abs(np.vdot(bvec, v)) ** 2)
         assert abs(best - 0.5) < 5e-3
-        res = product_lmo(g, bell.sig, Partition.finest(2), rng=1)
+        res = product_lmo(g[None], bell.sig, Partition.finest(2), rng=1)[0]
         assert abs(res.value - 0.5) < 1e-9
 
     def test_single_group_global_minimum(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = (m + m.conj().T) / 2
-        res = product_lmo(m, DimSig((2, 2)), Partition(((0, 1),)), rng=2)
+        res = product_lmo(m[None], DimSig((2, 2)), Partition(((0, 1),)), rng=2)[0]
         assert abs(res.value - np.linalg.eigvalsh(m)[0]) < 1e-10
+
+    @pytest.mark.parametrize(
+        "dims, groups",
+        [((2, 2), None), ((2, 3), None), ((2, 2, 2), None), ((2, 3, 2), ((0, 2), (1,)))],
+        ids=["2x2", "2x3", "2x2x2", "2x3x2-grouped"],
+    )
+    def test_stack_equals_sequential_calls(self, dims, groups, monkeypatch):
+        sig = DimSig(dims)
+        part = Partition(groups) if groups else Partition.finest(len(dims))
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((3, sig.total, sig.total)) + 1j * rng.standard_normal((3, sig.total, sig.total))
+        stack = (m + m.conj().transpose(0, 2, 1)) / 2
+        # a diagonal block stalls after two sweeps, long before the others
+        diag = np.diag(rng.random(sig.total)).astype(complex)
+        stack = np.concatenate([stack[:1], diag[None], stack[1:]])
+        lanes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            lanes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng_stack, rng_seq = np.random.default_rng(3), np.random.default_rng(3)
+        stacked = product_lmo(stack, sig, part, rng=rng_stack)
+        monkeypatch.undo()
+        sequential = [product_lmo(g[None], sig, part, rng=rng_seq)[0] for g in stack]
+        # blocks left the live set at different sweeps
+        assert lanes[0] == 4 * 8 and lanes[-1] < lanes[0]
+        assert len(stacked) == len(sequential) == 4
+        for got, want in zip(stacked, sequential):
+            assert float(got.value).hex() == float(want.value).hex()
+            assert float(got.spread).hex() == float(want.spread).hex()
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.atom.factors, want.atom.factors))
+        assert rng_stack.bit_generator.state == rng_seq.bit_generator.state
+
+
+class TestLineSearch:
+    def test_lockstep_matches_scalar_golden(self):
+        sig = DimSig((2, 3))
+        rho = random_density((2, 3), 6, seed=4)
+        sigma = 0.5 * random_separable((2, 3), 5, seed=6).mat + 0.5 * np.eye(6) / 6
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        rng = np.random.default_rng(12)
+        vecs = np.stack(
+            [atom_vector(SepAtom((unit(rng, 2), unit(rng, 3))), sig, Partition.finest(2)) for _ in range(5)]
+        )
+        t_max = np.array([1.0, 0.3, 0.05, 1.0, 0.7])
+        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho)
+        for k, vec in enumerate(vecs):
+            direction = np.outer(vec, vec.conj())
+
+            def h(t):
+                return _objective(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+
+            t_k = _golden(h, 0.0, float(t_max[k]))
+            assert float(t_stars[k]).hex() == float(t_k).hex()
+            assert float(vals[k]).hex() == float(h(t_k)).hex()
+        # one candidate takes the scalar search, with the same bits
+        t_one, val_one = _line_search(rho.mat, sigma, vecs[1:2], t_max[1:2], tr_rho_ln_rho)
+        assert (float(t_one[0]).hex(), float(val_one[0]).hex()) == (float(t_stars[1]).hex(), float(vals[1]).hex())
 
 
 class TestSolverCore:
@@ -210,15 +285,37 @@ class TestEnergyConstrained:
                 bell_state(), None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=-0.5)
             )
 
-    def test_bell_sweep(self):
-        rows = energy_sweep(bell_state(), None, (QUBIT_H, QUBIT_H), [0.5, 1.0, 2.0, 4.0], FAST)
+    def test_bell_sweep(self, monkeypatch):
+        import qsep.relent as relent_mod
+
+        solved = []
+
+        def record(*args, **kwargs):
+            solved.append((kwargs["constraint"], relative_entropy_entanglement(*args, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(relent_mod, "relative_entropy_entanglement", record)
+        bell = bell_state()
+        rows = energy_sweep(bell, None, (QUBIT_H, QUBIT_H), [0.5, 1.0, 2.0, 4.0], FAST)
         vals = [r["value"] for r in rows]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
         assert abs(vals[-1] - math.log(2)) < 1e-3
-        # every iterate respected the cap: the final solution's stored
-        # sigma satisfies the energy bound at each grid point
-        for row in rows:
+        # the final solution's sigma satisfies the energy bound at each grid point
+        assert len(solved) == len(rows)
+        for row, (constraint, sol) in zip(rows, solved):
             assert row["value"] >= -1e-9
+            assert constraint.E == row["E"]
+            assert sigma_energy(sol, constraint, bell.sig) <= row["E"] + 1e-9
+
+    @pytest.mark.parametrize("cap", [0.51, 0.52, 0.54])
+    def test_start_respects_cap_above_ground_anchor(self, cap):
+        # the anchor atom |+0> has energy 0.5, above the ground energy 0, so
+        # a start mixed for a ground-state anchor would break the cap
+        plus0 = np.kron([1.0, 1.0], [1.0, 0.0]) / math.sqrt(2)
+        rho = dop((2, 2), 0.9 * np.outer(plus0, plus0) + 0.025 * np.eye(4))
+        constraint = EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=cap)
+        sol = relative_entropy_entanglement(rho, None, FAST, constraint=constraint)
+        assert sigma_energy(sol, constraint, rho.sig) <= cap + 1e-9
 
 
 class TestRegularized:
