@@ -2,17 +2,22 @@
 library operations, and emits deterministic CSV/JSON artifacts.
 
 Every run is driven by a single self-contained JSON config document (no
-environment variables), so identical configs with identical seeds produce
-byte-identical CSV output. Wall-clock time is recorded only in the JSON
-run record, never in the CSV. The process exits nonzero whenever a run
-produced inequality-violation rows.
+settings come from environment variables), so identical configs with
+identical seeds produce byte-identical CSV output. Wall-clock time and the
+environment (Python and numpy versions, CPU count, BLAS/OpenMP thread
+variables) are recorded only in the JSON run record, never in the CSV.
+The process exits nonzero whenever a run produced inequality-violation
+rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -36,6 +41,10 @@ from .relent import (
     verify_er_inequalities,
 )
 from .spectra import HamiltonianSpec, SpectrumFamily, build_fa_witness, parse_family, zeta_limit
+
+
+# environment variables that set the BLAS/OpenMP thread count, recorded per run
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -62,12 +71,16 @@ def resolve_state(spec, seed_note="state") -> DensityOp:
 
 def _solver_opts(config: dict) -> SolverOpts:
     raw = dict(config.get("opts", {}))
-    if "seed" in config and "seed" not in raw:
-        raw["seed"] = config["seed"]
     try:
-        return SolverOpts(**raw)
-    except TypeError as exc:
+        opts = SolverOpts(**raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'opts' rejected: {exc}") from exc
+    if "seed" in config and "seed" not in raw:
+        try:
+            opts = dataclasses.replace(opts, seed=config["seed"])
+        except ValueError as exc:
+            raise ConfigError(f"config field 'seed' rejected: {exc}") from exc
+    return opts
 
 
 def _partition(config: dict, nsys: int) -> Partition:
@@ -152,10 +165,15 @@ def _cmd_approx(config: dict):
         fams = [parse_family(t) for t in config["witness_families"]]
         witnesses = [build_fa_witness(fam) for fam in fams]
         bound = config.get("bound", {})
+        trunc_dim = bound.get("trunc_dim")
+        if trunc_dim is not None and (isinstance(trunc_dim, bool) or not isinstance(trunc_dim, int) or trunc_dim < 1):
+            raise ConfigError(
+                f"config field 'bound' rejected: trunc_dim must be an integer >= 1, got {trunc_dim!r}"
+            )
         template = BoundTemplate(
             C=float(bound.get("C", 2.0)),
             D=float(bound.get("D", rho.sig.nsys)),
-            trunc_dim=bound.get("trunc_dim"),
+            trunc_dim=trunc_dim,
         )
     report = truncation_experiment(
         rho, f, subset, r_grid, witnesses=witnesses, template=template
@@ -259,9 +277,9 @@ def _cmd_fda(config: dict):
 
 
 def _cmd_verify(config: dict):
+    opts = _solver_opts(config)
     seed = int(_require(config, "seed"))
     samples = config.get("samples", {})
-    opts = _solver_opts(config)
 
     def bulk(name, builder):
         spec = samples.get(name)
@@ -327,7 +345,8 @@ def run(config: dict, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment config; returns the run record (also written to disk).
 
     The CSV artifact is deterministic given the config (including its
-    seed); the JSON record additionally carries wall time and versions.
+    seed); the JSON record additionally carries wall time, versions and
+    the environment.
     """
     command = _require(config, "command", str)
     if command not in _HANDLERS:
@@ -345,6 +364,12 @@ def run(config: dict, out_dir: str | Path | None = None) -> dict:
         "extra": extra,
         "violations": violations,
         "wall_time_s": time.monotonic() - t0,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        },
     }
     if out_dir is not None:
         out = Path(out_dir)

@@ -13,6 +13,7 @@ only when the atom oracle is exact; it is labeled heuristic everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 import string
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ POLISH_ITERS = 60
 PRUNE_TOL = 1e-10
 STALL_WINDOW = 20
 STALL_TOL = 1e-11
+# multipliers mu of the capped oracle's stack G + mu H; mu = 0 comes first
+MU_GRID = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
 _LETTERS = string.ascii_letters
 
 
@@ -84,58 +87,60 @@ class SepAtom:
         object.__setattr__(self, "factors", fs)
 
 
+def _product_vectors(factor_stacks, dims, groups) -> np.ndarray:
+    """Stacked product vectors (R, prod dims) of per-group factor stacks (R, d_g).
+
+    `groups` cover the subsystems 0..len(dims)-1 and the product lands in
+    subsystem order; a lone factor stack is already that product."""
+    if len(factor_stacks) == 1:
+        return factor_stacks[0]
+    n_r = factor_stacks[0].shape[0]
+    ops = [f.reshape([n_r] + [dims[s] for s in g]) for f, g in zip(factor_stacks, groups)]
+    subs = ["Z" + "".join(_LETTERS[s] for s in g) for g in groups]
+    out = "Z" + _LETTERS[: len(dims)]
+    return np.einsum(",".join(subs) + "->" + out, *ops).reshape(n_r, -1)
+
+
 def atom_vector(atom: SepAtom, sig: DimSig, partition: Partition) -> np.ndarray:
     """Full-space vector of a product atom, respecting subsystem ordering."""
-    dims = sig.dims
-    subs, ops = [], []
-    for g, f in zip(partition.groups, atom.factors):
-        ops.append(f.reshape([dims[s] for s in g]))
-        subs.append("".join(_LETTERS[s] for s in g))
-    out = "".join(_LETTERS[s] for s in range(len(dims)))
-    return np.einsum(",".join(subs) + "->" + out, *ops).reshape(-1)
+    return _product_vectors([f[None] for f in atom.factors], sig.dims, partition.groups)[0]
 
 
 @dataclass(frozen=True)
 class LmoResult:
-    atom: SepAtom
-    vector: np.ndarray
-    value: float
-    spread: float
+    """Oracle answers for a stack of M matrices: per group the (M, d_g)
+    stack of best factors, their product vectors (M, D), the values
+    <v|G_m|v> (M,) and the restart spreads (M,)."""
+
+    factors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
+    values: np.ndarray
+    spreads: np.ndarray
 
 
 def _group_views(g_mats: np.ndarray, dims: tuple[int, ...], groups) -> list:
-    """Per-group contraction layouts of a stack of G: (M, drest, dg * dg * drest).
+    """Per-group contraction layouts of a stack of G, each with its rest.
 
-    Axes run (rest row, group row, group column, rest column), so one
-    matmul with the rest factors' conjugates contracts the rest rows."""
+    A layout (M, drest, dg * dg * drest) has axes (rest row, group row, group
+    column, rest column), so one matmul with the rest factors' conjugates
+    contracts the rest rows. The rest is (other groups' indices, their dims,
+    those groups renumbered within the rest) for `_product_vectors`."""
     n = len(dims)
     n_m = g_mats.shape[0]
     gt = g_mats.reshape((n_m,) + dims + dims)
     views = []
-    for g in groups:
+    for j, g in enumerate(groups):
         others = [s for s in range(n) if s not in g]
+        pos = {s: i for i, s in enumerate(others)}
         axes = [0] + [1 + s for s in others] + [1 + s for s in g]
         axes += [1 + n + s for s in g] + [1 + n + s for s in others]
         dg = int(np.prod([dims[s] for s in g]))
         dr = int(np.prod([dims[s] for s in others])) if others else 1
-        views.append((np.ascontiguousarray(np.transpose(gt, axes)).reshape(n_m, dr, dg * dg * dr), others))
+        view = np.ascontiguousarray(np.transpose(gt, axes)).reshape(n_m, dr, dg * dg * dr)
+        rest = [k for k in range(len(groups)) if k != j]
+        rest_groups = [tuple(pos[s] for s in groups[k]) for k in rest]
+        views.append((view, (rest, tuple(dims[s] for s in others), rest_groups)))
     return views
-
-
-def _others_batch(partition: Partition, factors, dims, others: list[int], skip: int) -> np.ndarray:
-    """Stacked product vectors over all groups except `skip`, shape (R, d_rest)."""
-    n_restarts = factors[0].shape[0]
-    if not others:
-        return np.ones((n_restarts, 1), dtype=complex)
-    pos = {s: i for i, s in enumerate(others)}
-    subs, ops = [], []
-    for j, (g, f) in enumerate(zip(partition.groups, factors)):
-        if j == skip:
-            continue
-        ops.append(f.reshape([n_restarts] + [dims[s] for s in g]))
-        subs.append("Z" + "".join(_LETTERS[pos[s]] for s in g))
-    out = "Z" + "".join(_LETTERS[i] for i in range(len(others)))
-    return np.einsum(",".join(subs) + "->" + out, *ops).reshape(n_restarts, -1)
 
 
 def product_lmo(
@@ -144,9 +149,10 @@ def product_lmo(
     partition: Partition,
     restarts: int = 8,
     rng: np.random.Generator | int | None = 0,
-) -> list[LmoResult]:
+) -> LmoResult:
     """Approximate minimizers of <psi|G_m|psi> over product unit vectors,
-    one for each matrix of the stack g_mats (M, D, D).
+    one for each matrix of the stack g_mats (M, D, D), as one `LmoResult`
+    whose arrays hold block m in row m.
 
     Alternating updates: with all factors but one fixed, the optimal
     remaining factor is the minimal eigenvector of the contracted
@@ -185,11 +191,11 @@ def product_lmo(
         prev = vals
         n_live = len(live)
         for j in range(len(groups)):
-            view, others = views[j]
-            if len(groups) == 2:
-                o = factors[1 - j]
-            else:
-                o = _others_batch(partition, factors, dims, others, skip=j)
+            view, (rest, rest_dims, rest_groups) = views[j]
+            if rest:
+                o = _product_vectors([factors[k] for k in rest], rest_dims, rest_groups)
+            else:  # a single group: the rest is the empty product
+                o = np.ones((n_live * n_r, 1), dtype=complex)
             dg, dr = gdims[j], view.shape[1]
             t = np.matmul(o.conj().reshape(n_live, n_r, dr), view)  # (L, Z, dg * dg * dr)
             eff = np.matmul(t.reshape(n_live * n_r, dg * dg, dr), o[:, :, None]).reshape(-1, dg, dg)
@@ -211,18 +217,14 @@ def product_lmo(
             # compact only when a block stalls: indexing the live set on
             # every sweep costs more than the sweep saves on one block
             live = live[keep]
-            views = [(view[keep], others) for view, others in views]
+            views = [(view[keep], rest) for view, rest in views]
             factors = [f.reshape(n_live, n_r, -1)[keep].reshape(-1, f.shape[1]) for f in factors]
             vals = vals.reshape(n_live, n_r)[keep].reshape(-1)
-    results = []
-    for b in range(n_m):
-        bvals = out_vals[b]
-        best = int(np.argmin(bvals))
-        atom = SepAtom(tuple(f[b, best] for f in out_factors))
-        vec = atom_vector(atom, sig, partition)
-        value = float(np.real(vec.conj() @ g_mats[b] @ vec))
-        results.append(LmoResult(atom=atom, vector=vec, value=value, spread=float(bvals.max() - bvals.min())))
-    return results
+    best = np.argmin(out_vals, axis=1)
+    best_factors = tuple(f[np.arange(n_m), best] for f in out_factors)
+    vectors = _product_vectors(best_factors, dims, groups)
+    values = np.array([np.real(v.conj() @ g @ v) for v, g in zip(vectors, g_mats)])
+    return LmoResult(best_factors, vectors, values, out_vals.max(axis=1) - out_vals.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,15 @@ class SolverOpts:
     tol: float = 1e-7
     restarts: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -263,8 +274,9 @@ class EnergyConstraint:
 class ERSolution:
     """Upper estimate of the entanglement relative entropy with its decomposition.
 
-    `gap` is the last conditional-gradient gap; with a heuristic atom
-    oracle it is a diagnostic, not a proven suboptimality bound.
+    `gap` is the last conditional-gradient gap (Lagrangian under an energy
+    cap); with a heuristic atom oracle it is a diagnostic, not a proven
+    suboptimality bound.
     """
 
     value: float
@@ -404,9 +416,13 @@ def relative_entropy_entanglement(
     """Minimize D(rho || sigma) over finite product-atom mixtures.
 
     With `constraint`, every iterate keeps Tr H sigma <= E: candidate
-    atoms come from a multiplier sweep on G + mu H and line searches are
-    clipped to the feasible segment (feasibility, not per-step optimality,
-    is guaranteed). Non-convergence returns the best iterate with
+    atoms come from a multiplier sweep on G + mu H (mu in MU_GRID) and
+    line searches are clipped to the feasible segment (feasibility, not
+    per-step optimality, is guaranteed). Without one the solve is the same
+    with H = 0, E = inf and the single multiplier mu = 0, so no clip ever
+    binds. The gap is Lagrangian: Tr G sigma - max_mu (min <G + mu H> - mu E)
+    over the multipliers, which under no cap is the plain conditional-
+    gradient gap. Non-convergence returns the best iterate with
     converged=False rather than raising.
     """
     if partition is None:
@@ -419,41 +435,40 @@ def relative_entropy_entanglement(
     rho_mat = rho.mat
     tr_rho_ln_rho = -von_neumann_entropy(rho)
 
-    h_diag = None
-    e_cap = math.inf
-    if constraint is not None:
-        h_diag = constraint.diagonal(rho.sig)
-        e_cap = float(constraint.E)
+    if constraint is None:
+        h_diag, e_cap, mus = np.zeros(dim), math.inf, np.zeros(1)
+    else:
+        h_diag, e_cap, mus = constraint.diagonal(rho.sig), float(constraint.E), MU_GRID
         if e_cap < h_diag.min() - 1e-12:
             raise ValueError(
                 f"infeasible energy bound {e_cap}: ground product energy is {h_diag.min()}"
             )
+    h_mat = np.diag(h_diag)
 
     # the mixture: weights w, stacked atom vectors vecs (K x D) and one
     # factor tuple per atom
     mix_w = 1e-8 if initial_atoms else 0.5
     if initial_atoms:
         w0 = [float(wt) for wt, _ in initial_atoms]
-        vecs = np.stack([atom_vector(a, rho.sig, partition) for _, a in initial_atoms])
         factors = [a.factors for _, a in initial_atoms]
+        vecs = _product_vectors([np.stack(fs) for fs in zip(*factors)], rho.sig.dims, partition.groups)
     else:
         # best single product atom for rho anchors the start
-        best = product_lmo(-rho_mat[None], rho.sig, partition, opts.restarts, rng)[0]
+        best = product_lmo(-rho_mat[None], rho.sig, partition, opts.restarts, rng)
         w0 = [1.0]
-        if h_diag is None or float((np.abs(best.vector) ** 2 * h_diag).sum()) <= e_cap:
-            vecs, factors = best.vector[None, :], [best.atom.factors]
+        if float((np.abs(best.vectors[0]) ** 2 * h_diag).sum()) <= e_cap:
+            vecs, factors = best.vectors, [tuple(f[0] for f in best.factors)]
         else:
             ground_idx = int(np.argmin(h_diag))
             vecs = np.eye(1, dim, ground_idx, dtype=complex)
             factors = _basis_factors(rho.sig, partition, [ground_idx])
-    if h_diag is not None:
-        # lower the mixed component until the start respects the energy cap:
-        # the start's energy is (1 - mix_w) e_start + mix_w mean, e_start the
-        # energy of the anchor atom or of the warm mixture
-        e_start = float(np.asarray(w0) @ (np.abs(vecs) ** 2 @ h_diag)) / sum(w0)
-        mean = float(h_diag.mean())
-        if mean > e_cap:
-            mix_w = 0.0 if e_start >= e_cap else min(mix_w, 0.9 * (e_cap - e_start) / (mean - e_start))
+    # lower the mixed component until the start respects the energy cap:
+    # the start's energy is (1 - mix_w) e_start + mix_w mean, e_start the
+    # energy of the anchor atom or of the warm mixture
+    e_start = float(np.asarray(w0) @ (np.abs(vecs) ** 2 @ h_diag)) / sum(w0)
+    mean = float(h_diag.mean())
+    if mean > e_cap:
+        mix_w = 0.0 if e_start >= e_cap else min(mix_w, 0.9 * (e_cap - e_start) / (mean - e_start))
     w = np.asarray(w0) * ((1.0 - mix_w) / sum(w0))  # sequential sum, not pairwise
     # the uniform mixture keeps full support; express it through basis atoms,
     # each reweighted on its own by the corrective pass
@@ -463,72 +478,57 @@ def relative_entropy_entanglement(
         factors += _basis_factors(rho.sig, partition, np.arange(dim))
 
     sigma = _mixture(w, vecs)
-    obj = _objective(rho_mat, sigma, tr_rho_ln_rho)
-    gap = math.inf
     spread = 0.0
     converged = False
-    mu_grid = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
-    iterations = 0
     obj_history: list[float] = []
     best_lower = -math.inf
 
     for iterations in range(1, opts.max_iters + 1):
         obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
         base_val = float(np.real(np.trace(g_mat @ sigma)))
-        # candidate atoms (one per multiplier when constrained)
-        if constraint is None:
-            stack = g_mat[None]
-        else:
-            stack = np.empty((len(mu_grid),) + g_mat.shape, dtype=complex)
-            stack[0] = g_mat
-            stack[1:] = g_mat + mu_grid[1:, None, None] * np.diag(h_diag)
-        candidates = product_lmo(stack, rho.sig, partition, opts.restarts, rng)
-        plain = candidates[0]
-        gap = base_val - float(np.real(plain.vector.conj() @ g_mat @ plain.vector))
-        spread = max(spread, plain.spread)
+        # one candidate atom per multiplier; mu = 0 stays G itself
+        stack = np.repeat(g_mat[None], len(mus), axis=0)
+        stack[1:] += mus[1:, None, None] * h_mat
+        cands = product_lmo(stack, rho.sig, partition, opts.restarts, rng)
+        # Lagrangian lower bound on min Tr G sigma' over feasible sigma'; the
+        # mu = 0 term stays out of mu E, which is 0 * inf with no cap
+        lower = max(cands.values[0], (cands.values[1:] - mus[1:] * e_cap).max(initial=-math.inf))
+        gap = base_val - float(lower)
+        spread = max(spread, float(cands.spreads[0]))
         best_lower = max(best_lower, obj - gap)
         if gap <= opts.tol:
             converged = True
             break
-        e_sigma = float((np.abs(np.diag(sigma)) * h_diag).sum()) if h_diag is not None else 0.0
-        feasible, t_maxes = [], []
-        for res in candidates:
-            t_max = 1.0
-            if h_diag is not None:
-                e_atom = float((np.abs(res.vector) ** 2 * h_diag).sum())
-                if e_atom > e_cap + 1e-12 and e_atom > e_sigma:
-                    t_max = max(0.0, (e_cap - e_sigma) / (e_atom - e_sigma))
-            if t_max > 0.0:
-                feasible.append(res)
-                t_maxes.append(t_max)
-        best_step = None
-        if feasible:
-            cand_vecs = np.stack([res.vector for res in feasible])
-            t_stars, vals = _line_search(rho_mat, sigma, cand_vecs, np.asarray(t_maxes), tr_rho_ln_rho)
-            for t_star, val, res in zip(t_stars, vals, feasible):
-                if best_step is None or val < best_step[0]:
-                    best_step = (val, float(t_star), res)
-        if best_step is None or best_step[0] >= obj - 1e-15:
-            t_star = 0.0
-            res = plain
-        else:
-            _, t_star, res = best_step
+        # clip each candidate's step to the feasible segment
+        e_sigma = float((np.abs(np.diag(sigma)) * h_diag).sum())
+        e_atoms = (np.abs(cands.vectors) ** 2 * h_diag).sum(axis=1)
+        over = (e_atoms > e_cap + 1e-12) & (e_atoms > e_sigma)
+        t_max = np.ones(len(mus))
+        t_max[over] = np.maximum(0.0, (e_cap - e_sigma) / (e_atoms[over] - e_sigma))
+        feasible = np.flatnonzero(t_max > 0.0)
+        t_star = 0.0
+        if len(feasible):
+            t_stars, vals = _line_search(rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho)
+            k = int(np.argmin(vals))
+            if vals[k] < obj - 1e-15:
+                t_star, pick = float(t_stars[k]), feasible[k]
         if t_star > 0.0:
+            vec = cands.vectors[pick]
             w = w * (1.0 - t_star)
-            duplicate = np.abs(vecs.conj() @ res.vector) ** 2 > 1.0 - 1e-12
+            duplicate = np.abs(vecs.conj() @ vec) ** 2 > 1.0 - 1e-12
             if duplicate.any():
                 w[np.argmax(duplicate)] += t_star
             else:
                 w = np.append(w, t_star)
-                vecs = np.vstack([vecs, res.vector])
-                factors.append(res.atom.factors)
+                vecs = np.vstack([vecs, vec])
+                factors.append(tuple(f[pick] for f in cands.factors))
             sigma = _mixture(w, vecs)
         # corrective pass: multiplicative weight rebalancing over the atoms.
         # The update w_a <- w_a <psi_a|(-G)|psi_a> preserves normalization
         # (Tr(-G sigma) = 1) and fixes the inner simplex KKT conditions;
         # it is accepted only while the objective keeps descending.
         cur_obj, g_pol = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
-        atom_energies = (np.abs(vecs) ** 2 * h_diag).sum(axis=1) if h_diag is not None else None
+        atom_energies = (np.abs(vecs) ** 2 * h_diag).sum(axis=1)
         for _ in range(POLISH_ITERS):
             m = np.clip(-_quad_forms(vecs, g_pol), 0.0, None)
             pol_gap = float(m.max() - w @ m)
@@ -539,13 +539,12 @@ def relative_entropy_entanglement(
             if s <= 0:
                 break
             neww /= s
-            if atom_energies is not None:
-                e_new = float(neww @ atom_energies)
-                if e_new > e_cap + 1e-12:
-                    # project back toward the current feasible weights
-                    e_now = float(w @ atom_energies)
-                    lam = (e_cap - e_now) / (e_new - e_now) if e_new > e_now else 0.0
-                    neww = w + max(0.0, lam) * (neww - w)
+            e_new = float(neww @ atom_energies)
+            if e_new > e_cap + 1e-12:
+                # project back toward the current feasible weights
+                e_now = float(w @ atom_energies)
+                lam = (e_cap - e_now) / (e_new - e_now) if e_new > e_now else 0.0
+                neww = w + max(0.0, lam) * (neww - w)
             nsigma = _mixture(neww, vecs)
             nobj, ng = _obj_and_grad(rho_mat, nsigma, tr_rho_ln_rho)
             if nobj > cur_obj + 1e-14:
@@ -569,8 +568,8 @@ def relative_entropy_entanglement(
     # gap against the best lower bound seen anywhere on the trajectory
     # (each iteration's obj - gap lower-bounds the optimum)
     final_obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
-    final = product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng)[0]
-    final_gap = float(np.real(np.trace(g_mat @ sigma))) - final.value
+    final = product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng)
+    final_gap = float(np.real(np.trace(g_mat @ sigma))) - float(final.values[0])
     best_lower = max(best_lower, final_obj - final_gap)
     sigma_op = DensityOp(rho.sig, sigma)
     value = relative_entropy(rho, sigma_op)
@@ -798,7 +797,6 @@ def verify_er_inequalities(
     """
     opts = opts or SolverOpts()
     rows = []
-    violations = []
 
     def solve(state: DensityOp) -> ERSolution:
         return relative_entropy_entanglement(state, None, opts)
@@ -807,10 +805,7 @@ def verify_er_inequalities(
         sol = solve(rho)
         bound = _marginal_entropy_sums(rho)
         margin = bound + VERIFY_SLACK - sol.value
-        row = {"check": "marginal-upper", "sample": i, "value": sol.value, "bound": bound, "margin": margin}
-        rows.append(row)
-        if margin < 0:
-            violations.append(row)
+        rows.append({"check": "marginal-upper", "sample": i, "value": sol.value, "bound": bound, "margin": margin})
 
     for i, (rho, sig2, p) in enumerate(mixing_samples):
         sol_r, sol_s = solve(rho), solve(sig2)
@@ -819,10 +814,7 @@ def verify_er_inequalities(
         lhs = p * max(0.0, sol_r.value - sol_r.gap) + (1 - p) * max(0.0, sol_s.value - sol_s.gap)
         rhs = sol_m.value + binary_entropy(p)
         margin = rhs + VERIFY_SLACK - lhs
-        row = {"check": "mixing", "sample": i, "lhs": lhs, "rhs": rhs, "margin": margin}
-        rows.append(row)
-        if margin < 0:
-            violations.append(row)
+        rows.append({"check": "mixing", "sample": i, "lhs": lhs, "rhs": rhs, "margin": margin})
 
     for i, rho in enumerate(lb1_samples):
         if rho.sig.nsys != 2:
@@ -840,8 +832,6 @@ def verify_er_inequalities(
                 "margin": margin,
             }
             rows.append(row)
-            if margin < 0:
-                violations.append(row)
 
     for i, rho in enumerate(lb2_samples):
         if rho.sig.nsys != 3:
@@ -865,9 +855,8 @@ def verify_er_inequalities(
                 "margin": margin,
             }
             rows.append(row)
-            if margin < 0:
-                violations.append(row)
 
+    violations = [r for r in rows if r["margin"] < 0]
     return {"rows": rows, "violations": violations, "ok": not violations}
 
 

@@ -195,3 +195,58 @@ def test_er_energy_and_fda_commands(tmp_path):
         out_dir=tmp_path / "f",
     )
     assert rec["cells"] == 2
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"opts": {"max_iters": "10"}}, "'opts'"),
+        ({"opts": {"max_iters": -5}}, "'opts'"),
+        ({"opts": {"restarts": 2.5}}, "'opts'"),
+        ({"opts": {"tol": float("nan")}}, "'opts'"),
+        ({"opts": {"max_iters": True}}, "'opts'"),
+        ({"opts": {"seed": -1}}, "'opts'"),
+        ({"seed": "abc"}, "'seed'"),
+    ],
+    ids=[
+        "max-iters-str",
+        "max-iters-negative",
+        "restarts-float",
+        "tol-nan",
+        "max-iters-bool",
+        "opts-seed-negative",
+        "seed-str",
+    ],
+)
+def test_invalid_solver_opts_name_field(config, field):
+    base = {"command": "er", "state": "fixture:bell", "seed": 0}
+    with pytest.raises(ConfigError, match=field):
+        run({**base, **config})
+
+
+@pytest.mark.parametrize("trunc_dim", ["x", 2.5, 0])
+def test_invalid_trunc_dim_names_bound(tmp_path, capsys, trunc_dim):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "command": "approx",
+                "state": "fixture:geomgibbs-pair",
+                "subset": [0, 1],
+                "r_grid": [1],
+                "witness_families": ["geometric:0.5", "geometric:0.5"],
+                "bound": {"C": 2.0, "D": 2.0, "trunc_dim": trunc_dim},
+            }
+        )
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "'bound'" in capsys.readouterr().err
+
+
+def test_record_names_environment(tmp_path):
+    run({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0]}, out_dir=tmp_path)
+    env = json.loads((tmp_path / "record.json").read_text())["environment"]
+    assert {"python", "numpy", "cpu_count", "threads"} <= set(env)
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}

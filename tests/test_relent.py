@@ -102,8 +102,8 @@ def atom_mixture(atoms, sig, partition):
 class TestProductLmo:
     def test_diagonal_aligned(self):
         g = np.diag([3.0, 1.0, 2.0, 5.0]).astype(complex)
-        res = product_lmo(g[None], DimSig((2, 2)), Partition.finest(2), rng=0)[0]
-        assert abs(res.value - 1.0) < 1e-12
+        res = product_lmo(g[None], DimSig((2, 2)), Partition.finest(2), rng=0)
+        assert abs(res.values[0] - 1.0) < 1e-12
 
     def test_projector_complement_dense_grid_oracle(self):
         bell = bell_state()
@@ -122,15 +122,15 @@ class TestProductLmo:
                     v = np.kron(a, np.array([math.cos(tb / 2), math.sin(tb / 2)]))
                     best = max(best, abs(np.vdot(bvec, v)) ** 2)
         assert abs(best - 0.5) < 5e-3
-        res = product_lmo(g[None], bell.sig, Partition.finest(2), rng=1)[0]
-        assert abs(res.value - 0.5) < 1e-9
+        res = product_lmo(g[None], bell.sig, Partition.finest(2), rng=1)
+        assert abs(res.values[0] - 0.5) < 1e-9
 
     def test_single_group_global_minimum(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = (m + m.conj().T) / 2
-        res = product_lmo(m[None], DimSig((2, 2)), Partition(((0, 1),)), rng=2)[0]
-        assert abs(res.value - np.linalg.eigvalsh(m)[0]) < 1e-10
+        res = product_lmo(m[None], DimSig((2, 2)), Partition(((0, 1),)), rng=2)
+        assert abs(res.values[0] - np.linalg.eigvalsh(m)[0]) < 1e-10
 
     @pytest.mark.parametrize(
         "dims, groups",
@@ -157,17 +157,35 @@ class TestProductLmo:
         rng_stack, rng_seq = np.random.default_rng(3), np.random.default_rng(3)
         stacked = product_lmo(stack, sig, part, rng=rng_stack)
         monkeypatch.undo()
-        sequential = [product_lmo(g[None], sig, part, rng=rng_seq)[0] for g in stack]
+        sequential = [product_lmo(g[None], sig, part, rng=rng_seq) for g in stack]
         # blocks left the live set at different sweeps
         assert lanes[0] == 4 * 8 and lanes[-1] < lanes[0]
-        assert len(stacked) == len(sequential) == 4
-        for got, want in zip(stacked, sequential):
-            assert float(got.value).hex() == float(want.value).hex()
-            assert float(got.spread).hex() == float(want.spread).hex()
-            assert got.vector.tobytes() == want.vector.tobytes()
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.atom.factors, want.atom.factors))
+        assert len(stacked.values) == len(sequential) == 4
+        for b, want in enumerate(sequential):
+            assert float(stacked.values[b]).hex() == float(want.values[0]).hex()
+            assert float(stacked.spreads[b]).hex() == float(want.spreads[0]).hex()
+            assert stacked.vectors[b].tobytes() == want.vectors[0].tobytes()
+            assert all(a[b].tobytes() == f[0].tobytes() for a, f in zip(stacked.factors, want.factors))
         assert rng_stack.bit_generator.state == rng_seq.bit_generator.state
 
+
+    @pytest.mark.parametrize(
+        "dims, groups",
+        [((2, 2), None), ((2, 2, 2), None), ((2, 3, 2), ((0, 2), (1,))), ((2, 2), ((0, 1),))],
+        ids=["2x2", "2x2x2", "2x3x2-grouped", "single-group"],
+    )
+    def test_rows_are_atom_vectors_and_quadratic_forms(self, dims, groups):
+        sig = DimSig(dims)
+        part = Partition(groups) if groups else Partition.finest(len(dims))
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((3, sig.total, sig.total)) + 1j * rng.standard_normal((3, sig.total, sig.total))
+        stack = (m + m.conj().transpose(0, 2, 1)) / 2
+        res = product_lmo(stack, sig, part, rng=4)
+        assert res.vectors.shape == (3, sig.total) and res.values.shape == res.spreads.shape == (3,)
+        for b, g in enumerate(stack):
+            vec = atom_vector(SepAtom(tuple(f[b] for f in res.factors)), sig, part)
+            assert res.vectors[b].tobytes() == vec.tobytes()
+            assert float(res.values[b]).hex() == float(np.real(vec.conj() @ g @ vec)).hex()
 
 class TestLineSearch:
     def test_lockstep_matches_scalar_golden(self):
@@ -306,6 +324,17 @@ class TestEnergyConstrained:
             assert row["value"] >= -1e-9
             assert constraint.E == row["E"]
             assert sigma_energy(sol, constraint, bell.sig) <= row["E"] + 1e-9
+
+    def test_lagrangian_gap_bounds_capped_optimum(self):
+        # sigma = 3/4 |00><00| + 1/4 |11><11| is separable with Tr H sigma = 0.5,
+        # so the capped optimum is at most D(rho || sigma); value - gap must
+        # be a lower bound on that optimum
+        bell = bell_state()
+        constraint = EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=0.5)
+        sol = relative_entropy_entanglement(bell, None, FAST, constraint=constraint)
+        feasible = relative_entropy(bell, dop((2, 2), np.diag([0.75, 0.0, 0.0, 0.25])))
+        assert abs(feasible - 0.8370) < 1e-4
+        assert 0 < sol.value - sol.gap <= feasible
 
     @pytest.mark.parametrize("cap", [0.51, 0.52, 0.54])
     def test_start_respects_cap_above_ground_anchor(self, cap):
