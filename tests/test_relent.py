@@ -11,9 +11,11 @@ from qsep.relent import (
     Partition,
     SepAtom,
     SolverOpts,
+    _corrective_pass,
     _golden,
     _lift_atoms_to_power,
     _line_search,
+    _mixture,
     _objective,
     atom_vector,
     energy_sweep,
@@ -213,6 +215,85 @@ class TestLineSearch:
         assert (float(t_one[0]).hex(), float(val_one[0]).hex()) == (float(t_stars[1]).hex(), float(vals[1]).hex())
 
 
+class TestCorrectivePass:
+    """The weight pass on a fixed atom set. The pass is deterministic, so the
+    run with an evaluation budget of n stops where the run with budget n + 1
+    stood after n evaluations: the runs with budgets 0..POLISH_ITERS trace
+    every accepted point."""
+
+    @staticmethod
+    def accepted_points(monkeypatch, rho, vecs, w0, atom_energies, e_cap):
+        import qsep.relent as relent_mod
+
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        budget = relent_mod.POLISH_ITERS
+        points = []
+        for n in range(budget + 1):
+            monkeypatch.setattr(relent_mod, "POLISH_ITERS", n)
+            w = _corrective_pass(rho.mat, vecs, w0, atom_energies, e_cap, tr_rho_ln_rho, 1e-13)
+            points.append((w, _objective(rho.mat, _mixture(w, vecs), tr_rho_ln_rho)))
+        return points
+
+    @staticmethod
+    def atom_set(seed):
+        rng = np.random.default_rng(seed)
+        vecs = np.stack([np.kron(unit(rng, 2), unit(rng, 2)) for _ in range(10)] + list(np.eye(4, dtype=complex)))
+        return vecs, rng.dirichlet(np.ones(len(vecs)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_descends_on_the_simplex(self, monkeypatch, seed):
+        rho = random_density((2, 2), 4, seed=seed + 10)
+        vecs, w0 = self.atom_set(seed)
+        points = self.accepted_points(monkeypatch, rho, vecs, w0, np.zeros(len(vecs)), math.inf)
+        objs = [obj for _, obj in points]
+        assert all(b <= a + 1e-13 for a, b in zip(objs, objs[1:]))
+        assert objs[-1] < objs[0] - 0.1
+        for w, _ in points:
+            assert w.min() >= 0.0
+            assert abs(w.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("headroom", [0.1, 0.2, 0.3])
+    def test_accepted_points_keep_energy_cap(self, monkeypatch, headroom):
+        # rho sits higher in energy than the start, so the uncapped pass
+        # climbs past the cap; with more headroom the extrapolation, not the
+        # EM step, is the first to overshoot
+        base = random_density((2, 2), 4, seed=11)
+        rho = dop((2, 2), 0.5 * base.mat + 0.5 * np.diag([0.0, 0.0, 0.0, 1.0]))
+        vecs, w0 = self.atom_set(5)
+        h_diag = EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=0.0).diagonal(rho.sig)
+        energies = (np.abs(vecs) ** 2 * h_diag).sum(axis=1)
+        cap = float(w0 @ energies) + headroom
+        free = self.accepted_points(monkeypatch, rho, vecs, w0, energies, math.inf)
+        assert free[-1][0] @ energies > cap + 0.01
+        capped = self.accepted_points(monkeypatch, rho, vecs, w0, energies, cap)
+        for w, _ in capped:
+            assert w @ energies <= cap + 1e-12
+            assert w.min() >= 0.0
+            assert abs(w.sum() - 1.0) <= 1e-12
+        assert capped[-1][0] @ energies > cap - 1e-9
+        objs = [obj for _, obj in capped]
+        assert all(b <= a + 1e-13 for a, b in zip(objs, objs[1:]))
+
+    def test_bell_optimum_stops_at_first_gap_test(self, monkeypatch):
+        # sigma = (|00><00| + |11><11|) / 2 is the closest separable state:
+        # the start's KKT gap is zero, so only the start is evaluated
+        import qsep.relent as relent_mod
+
+        calls = []
+        spectral = relent_mod._spectral_terms
+
+        def counted(*args):
+            calls.append(1)
+            return spectral(*args)
+
+        monkeypatch.setattr(relent_mod, "_spectral_terms", counted)
+        bell = bell_state()
+        w0 = np.array([0.5, 0.0, 0.0, 0.5])
+        w = _corrective_pass(bell.mat, np.eye(4, dtype=complex), w0, np.zeros(4), math.inf, 0.0, 1e-13)
+        assert len(calls) == 1
+        assert np.array_equal(w, w0)
+
+
 class TestSolverCore:
     def test_pure_product_zero(self):
         v = np.kron([1.0, 0.0], [0.6, 0.8])
@@ -364,6 +445,18 @@ class TestRegularized:
             rho = random_density((2, 2), 4, seed=seed)
             rows = regularized_estimates(rho, k_max=2, opts=SolverOpts(max_iters=60))
             assert rows[1]["value"] <= rows[0]["value"] + 1e-6
+
+    def test_subadditivity_on_many_atom_state(self):
+        # a full-rank 2x2 Ginibre state whose one-copy solution has more
+        # than 20 atoms, so the two-copy warm start keeps only the 400
+        # heaviest of its pairs
+        rng = np.random.default_rng([25, 2])
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real
+        rho = dop((2, 2), (m + m.conj().T) / 2)
+        rows = regularized_estimates(rho, k_max=2, opts=SolverOpts(max_iters=150))
+        assert rows[1]["value"] <= rows[0]["value"] + 1e-6
 
     def test_rows_are_per_copy(self, monkeypatch):
         import qsep.relent as relent_mod
