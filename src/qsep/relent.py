@@ -483,10 +483,13 @@ def relative_entropy_entanglement(
     line searches are clipped to the feasible segment (feasibility, not
     per-step optimality, is guaranteed). Without one the solve is the same
     with H = 0, E = inf and the single multiplier mu = 0, so no clip ever
-    binds. The gap is Lagrangian: Tr G sigma - max_mu (min <G + mu H> - mu E)
-    over the multipliers, which under no cap is the plain conditional-
-    gradient gap. Non-convergence returns the best iterate with
-    converged=False rather than raising.
+    binds. A cap at or above the largest product energy max_i H_ii binds
+    no state and is solved uncapped. Only descending candidates, those
+    with <v|G|v> < Tr G sigma, are line-searched. The gap is Lagrangian:
+    Tr G sigma - max_mu (min <G + mu H> - mu E) over the multipliers,
+    which under no cap is the plain conditional-gradient gap.
+    Non-convergence returns the best iterate with converged=False rather
+    than raising.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -498,14 +501,16 @@ def relative_entropy_entanglement(
     rho_mat = rho.mat
     tr_rho_ln_rho = -von_neumann_entropy(rho)
 
-    if constraint is None:
-        h_diag, e_cap, mus = np.zeros(dim), math.inf, np.zeros(1)
-    else:
-        h_diag, e_cap, mus = constraint.diagonal(rho.sig), float(constraint.E), MU_GRID
-        if e_cap < h_diag.min() - 1e-12:
-            raise ValueError(
-                f"infeasible energy bound {e_cap}: ground product energy is {h_diag.min()}"
-            )
+    h_diag, e_cap, mus = np.zeros(dim), math.inf, np.zeros(1)
+    if constraint is not None:
+        h, e = constraint.diagonal(rho.sig), float(constraint.E)
+        if e < h.min() - 1e-12:
+            raise ValueError(f"infeasible energy bound {e}: ground product energy is {h.min()}")
+        # every sigma has Tr H sigma <= max_i H_ii, so a cap at or above the
+        # largest product energy binds nothing and the solve runs uncapped
+        # (a NaN cap compares false and stays capped)
+        if not e >= h.max():
+            h_diag, e_cap, mus = h, e, MU_GRID
     h_mat = np.diag(h_diag)
 
     # the mixture: weights w, stacked atom vectors vecs (K x D) and one
@@ -570,7 +575,12 @@ def relative_entropy_entanglement(
         over = (e_atoms > e_cap + 1e-12) & (e_atoms > e_sigma)
         t_max = np.ones(len(mus))
         t_max[over] = np.maximum(0.0, (e_cap - e_sigma) / (e_atoms[over] - e_sigma))
-        feasible = np.flatnonzero(t_max > 0.0)
+        # the objective is convex along each segment with slope <v|G|v> - Tr G sigma
+        # at t = 0, so only a candidate with <v|G|v> < Tr G sigma can descend;
+        # row 0 reuses the oracle's value, so gap > tol always keeps it
+        q = cands.values.copy()
+        q[1:] = [np.real(v.conj() @ g_mat @ v) for v in cands.vectors[1:]]
+        feasible = np.flatnonzero((t_max > 0.0) & (q < base_val))
         t_star = 0.0
         if len(feasible):
             t_stars, vals = _line_search(rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho)
@@ -635,7 +645,9 @@ def energy_sweep(
 
     Each step warm-starts from the previous solution's atoms (feasible
     again since the cap only loosens), which makes the reported values
-    nonincreasing in E up to solver tolerance.
+    nonincreasing in E up to solver tolerance. A cap at or above the
+    largest product energy is solved uncapped; only descending candidates
+    are line-searched.
     """
     e_grid = [float(e) for e in e_grid]
     if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
