@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import mutual_information
-from .gibbs import BoundParams, fcb_bound
+from .gibbs import BoundParams, BoundValue, fcb_bound
 from .qmat import (
     DensityOp,
     eigh,
@@ -115,10 +115,10 @@ def truncation_map(rho: DensityOp, subset, r: int) -> tuple[DensityOp, Truncatio
 # ---------------------------------------------------------------------------
 # Local channels
 #
-# A local channel is a function flat -> flat acting on an array of shape
-# (d, d, K): the subsystem's bra/ket axes up front, everything else
-# flattened behind. Extending a channel over untouched subsystems is then
-# just slice-wise application, which the helpers below vectorize.
+# A local map acts on the 6-axis view (A, d, B, A, d, B) of the contiguous
+# D x D matrix, with A and B the products of the dimensions before and
+# after its subsystem; that view and the reshapes the maps take of it are
+# free. A map returns an array of D * D entries in row-major order.
 # ---------------------------------------------------------------------------
 
 
@@ -127,11 +127,12 @@ def channel_depolarizing(p: float):
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing weight must lie in [0, 1]")
 
-    def apply_local(flat: np.ndarray) -> np.ndarray:
-        d = flat.shape[0]
-        tr = np.einsum("aaj->j", flat)
-        out = (1.0 - p) * flat
-        out += (p / d) * np.eye(d, dtype=complex)[:, :, None] * tr[None, None, :]
+    def apply_local(t: np.ndarray) -> np.ndarray:
+        d = t.shape[1]
+        tr = np.einsum("xiyuiv->xyuv", t)
+        out = (1.0 - p) * t
+        for i in range(d):
+            out[:, i, :, :, i, :] += (p / d) * tr
         return out
 
     return apply_local
@@ -142,20 +143,27 @@ def channel_dephasing(p: float):
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing weight must lie in [0, 1]")
 
-    def apply_local(flat: np.ndarray) -> np.ndarray:
-        d = flat.shape[0]
-        mask = np.eye(d, dtype=float)[:, :, None]
-        return (1.0 - p) * flat + p * mask * flat
+    def apply_local(t: np.ndarray) -> np.ndarray:
+        out = (1.0 - p) * t
+        for i in range(t.shape[1]):
+            out[:, i, :, :, i, :] += p * t[:, i, :, :, i, :]
+        return out
 
     return apply_local
 
 
 def _sandwich(p: np.ndarray):
-    """The local map X -> P X P."""
+    """The local map X -> P X P: one row matmul, then one column matmul."""
     p = np.asarray(p, dtype=complex)
 
-    def apply_local(flat: np.ndarray) -> np.ndarray:
-        return np.moveaxis(p @ np.moveaxis(flat, 2, 0) @ p, 0, 2)
+    def apply_local(t: np.ndarray) -> np.ndarray:
+        # rows: P on each (d, B D) block; columns: X P is P^T applied to each
+        # (d, B) block of the (D A, d, B) view
+        a, d, b = t.shape[:3]
+        rows = np.matmul(p, t.reshape(a, d, -1))
+        if b == 1:
+            return rows.reshape(-1, d) @ p
+        return np.matmul(p.T, rows.reshape(-1, d, b))
 
     return apply_local
 
@@ -166,9 +174,11 @@ def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
     comp = np.eye(p.shape[0], dtype=complex) - p
     tau = np.outer(tau_vec, tau_vec.conj())
 
-    def apply_local(flat: np.ndarray) -> np.ndarray:
-        lost = np.einsum("ab,baj->j", comp, flat)
-        return kept(flat) + tau[:, :, None] * lost[None, None, :]
+    def apply_local(t: np.ndarray) -> np.ndarray:
+        lost = np.einsum("ij,xjyuiv->xyuv", comp, t)
+        out = kept(t).reshape(t.shape)
+        out += tau[None, :, None, None, :, None] * lost[:, None, :, :, None, :]
+        return out
 
     return apply_local
 
@@ -185,19 +195,13 @@ def _apply_local_maps(rho: DensityOp, maps: list) -> np.ndarray:
     n = len(dims)
     if len(maps) != n:
         raise ValueError(f"need one channel per subsystem ({n}), got {len(maps)}")
+    total = rho.sig.total
     mat = rho.mat
     for s, ch in enumerate(maps):
         if ch is None:
             continue
-        d = dims[s]
-        t = mat.reshape(dims + dims)
-        t = np.moveaxis(t, (s, n + s), (0, 1))
-        rest = t.shape[2:]
-        flat = np.ascontiguousarray(t).reshape(d, d, -1)
-        flat = ch(flat)
-        t = flat.reshape((d, d) + rest)
-        t = np.moveaxis(t, (0, 1), (s, n + s))
-        mat = np.ascontiguousarray(t).reshape(rho.sig.total, rho.sig.total)
+        a, b = math.prod(dims[:s]), math.prod(dims[s + 1 :])
+        mat = ch(mat.reshape(a, dims[s], b, a, dims[s], b)).reshape(total, total)
     return mat
 
 
@@ -330,7 +334,7 @@ def _bound_params(template: BoundTemplate, witnesses: list, e_s: float) -> Bound
     )
 
 
-def _envelope_value(params: BoundParams, eps: float) -> float | None:
+def _envelope_value(params: BoundParams, eps: float) -> BoundValue | None:
     if eps <= 1.0:
         return fcb_bound(params, eps)
     return None
@@ -387,7 +391,8 @@ def truncation_experiment(
     them only (r, c_r, eps_r, gentle, f values, diff) is reported.
     `witness_subsystems` (default 0, 1, ...) names one distinct subsystem
     per witness; a list of another length, a repeated subsystem or one out
-    of range raises ValueError.
+    of range raises ValueError. A row's `clamped` is True when its Y_r
+    rests on a ceiling cut at gibbs.DIM_CAP, so Y_r is not a valid bound.
     """
     params = None
     if witnesses is not None:
@@ -415,13 +420,15 @@ def truncation_experiment(
         out, plan = truncation_map(rho, subset, int(r))
         eps = tail_parameter(plan.marginal_tail(rho))
         f_trunc = f(out)
+        y = None if params is None else _envelope_value(params, eps)
         rows.append(
             {
                 "r": int(r),
                 "c_r": plan.c_r,
                 "eps_r": eps,
                 "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - plan.c_r)),
-                "Y_r": None if params is None else _envelope_value(params, eps),
+                "Y_r": None if y is None else float(y),
+                "clamped": y is not None and y.clamped,
                 "f_exact": f_exact,
                 "f_trunc": f_trunc,
                 "diff": abs(f_trunc - f_exact),

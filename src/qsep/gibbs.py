@@ -51,24 +51,43 @@ def _can_grow(h) -> bool:
     return hasattr(h, "g_values")
 
 
+def _doubled(h, levels: np.ndarray) -> np.ndarray:
+    """Levels 1..2n of a growable h from its levels 1..n.
+
+    A witness evaluates only the new half, which is bit-identical to
+    g_values(2n) as g is elementwise; Hamiltonian levels are cached.
+    """
+    n = levels.size
+    if isinstance(h, HamiltonianSpec):
+        return _spec_levels(h, 2 * n)
+    return np.concatenate([levels, h.g(np.arange(n + 1, 2 * n + 1))])
+
+
+def _same_levels(a, b) -> bool:
+    """The same object, or equal growable specs or witnesses."""
+    return a is b or (_can_grow(a) and type(a) is type(b) and a == b)
+
+
 def _stable_weights(levels: np.ndarray, beta: float) -> np.ndarray:
     w = np.exp(-beta * (levels - levels[0]))
     return w / w.sum()
 
 
-def _mean_at(levels: np.ndarray, beta: float) -> float:
-    return float((_stable_weights(levels, beta) * levels).sum())
-
-
 @dataclass(frozen=True)
 class GibbsSolution:
-    """Result of a mean-energy-constrained entropy maximization on a truncation."""
+    """Result of a mean-energy-constrained entropy maximization on a truncation.
+
+    `clamped` is set when the adaptive truncation of a symbolic Hamiltonian
+    or witness stopped at DIM_CAP before its dropped tail was negligible;
+    the entropy is then a truncation value below the true ceiling.
+    """
 
     beta: float
     levels: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     mean_energy: float
     entropy: float
+    clamped: bool = False
 
     @property
     def dim(self) -> int:
@@ -95,69 +114,107 @@ def _weights_at(levels: np.ndarray, beta: float) -> np.ndarray:
 def _common_beta(levels_list: list, e_target: float) -> float:
     """Find beta >= 0 with summed mean energy e_target; clamp to 0 when unconstrained.
 
-    Doubles an upper bracket from beta = 1, then bisects it (at most 200
-    steps). At the summed ground energy beta is infinite.
+    The summed mean m(beta) falls with slope minus the summed variance.
+    An upper bracket is doubled from beta = 1, then safeguarded Newton
+    steps run from its last point: a step that leaves the bracket bisects
+    it instead, and a step shorter than half the bracket tolerance is
+    lengthened to it, so that near the root the next point lands across
+    it. The search stops when |m - e_target| <= ENERGY_TOL or the bracket
+    is narrower than 1e-14 max(1, beta_hi) (at most 200 steps). A level
+    array listed more than once (the same object) is evaluated once. At
+    the summed ground energy beta is infinite.
     """
+    counts: dict[int, list] = {}
+    for lv in levels_list:
+        counts.setdefault(id(lv), [lv, 0])[1] += 1
+    distinct = list(counts.values())
     ground = sum(float(lv[0]) for lv in levels_list)
     if e_target < ground - 1e-12:
         raise ValueError(f"infeasible energy {e_target} below ground level {ground}")
-    if e_target >= sum(float(lv.mean()) for lv in levels_list):
+    if e_target >= sum(n * float(lv.mean()) for lv, n in distinct):
         return 0.0
     if e_target <= ground + 1e-14 * max(1.0, abs(ground)):
         return math.inf
+    shifted = [(lv - lv[0], n) for lv, n in distinct]
 
-    def total_mean(beta: float) -> float:
-        return sum(_mean_at(lv, beta) for lv in levels_list)
+    def moments(beta: float) -> tuple[float, float]:
+        """Summed mean and variance at beta."""
+        mean = var = 0.0
+        for s, n in shifted:
+            w = np.exp(-beta * s)
+            z = float(w.sum())
+            m1 = float(np.dot(w, s)) / z
+            w *= s
+            var += n * max(0.0, float(np.dot(w, s)) / z - m1 * m1)
+            mean += n * m1
+        return ground + mean, var
 
     beta_lo, beta_hi = 0.0, 1.0
-    while total_mean(beta_hi) > e_target:
+    beta = beta_hi
+    m, v = moments(beta)
+    while m > e_target:
         beta_lo = beta_hi
         beta_hi *= 2.0
         if beta_hi > 1e12:
             break
+        beta = beta_hi
+        m, v = moments(beta)
     for _ in range(200):
-        mid = 0.5 * (beta_lo + beta_hi)
-        m = total_mean(mid)
-        if abs(m - e_target) <= ENERGY_TOL or beta_hi - beta_lo < 1e-14 * max(1.0, beta_hi):
-            beta_lo = beta_hi = mid
+        tol = 1e-14 * max(1.0, beta_hi)
+        if abs(m - e_target) <= ENERGY_TOL or beta_hi - beta_lo < tol:
             break
+        step = (m - e_target) / v if v > 0.0 else math.nan
+        if abs(step) < 0.5 * tol:
+            step = math.copysign(0.5 * tol, step)
+        nxt = beta + step
+        beta = nxt if beta_lo < nxt < beta_hi else 0.5 * (beta_lo + beta_hi)
+        m, v = moments(beta)
         if m > e_target:
-            beta_lo = mid
+            beta_lo = beta
         else:
-            beta_hi = mid
-    return 0.5 * (beta_lo + beta_hi)
+            beta_hi = beta
+    return beta
 
 
-def _adequate_dim(h, e_target: float, dim: int | None) -> np.ndarray:
-    """Grow the truncation until the last kept term is negligible at the solution."""
+def _tail_negligible(levels: np.ndarray, beta: float) -> bool:
+    z_partial = float(np.exp(-beta * (levels - levels[0])).sum())
+    return math.exp(-beta * (levels[-1] - levels[0])) < TERM_CRIT * z_partial
+
+
+def _adequate_dim(h, e_target: float, dim: int | None) -> tuple[np.ndarray, bool]:
+    """Grow the truncation until the last kept term is negligible at the solution.
+
+    Returns the levels and whether they reached DIM_CAP without passing
+    that test (only symbolic Hamiltonians and witnesses grow; a finite
+    spec, a raw array or a given `dim` is never flagged). After five
+    doublings past the beta = 0 phase the levels are returned untested.
+    """
     if dim is not None or not _can_grow(h):
-        return _levels_of(h, dim)
-    d = DIM_FLOOR
-    levels = _levels_of(h, d)
+        return _levels_of(h, dim), False
+    levels = _levels_of(h, DIM_FLOOR)
     # cheap phase: make the beta = 0 mean reach the target (or hit the cap)
-    while float(levels.mean()) < e_target and d < DIM_CAP:
-        d *= 2
-        levels = _levels_of(h, d)
+    while float(levels.mean()) < e_target and levels.size < DIM_CAP:
+        levels = _doubled(h, levels)
     for _ in range(5):
         beta = _common_beta([levels], min(e_target, float(levels.mean())))
-        if math.isinf(beta) or beta == 0.0 or d >= DIM_CAP:
-            return levels
-        z_partial = float(np.exp(-beta * (levels - levels[0])).sum())
-        if math.exp(-beta * (levels[-1] - levels[0])) < TERM_CRIT * z_partial:
-            return levels
-        d *= 2
-        levels = _levels_of(h, d)
-    return levels
+        at_cap = levels.size >= DIM_CAP
+        if math.isinf(beta) or (beta == 0.0 and not at_cap):
+            return levels, False
+        adequate = beta > 0.0 and _tail_negligible(levels, beta)
+        if adequate or at_cap:
+            return levels, not adequate
+        levels = _doubled(h, levels)
+    return levels, levels.size >= DIM_CAP
 
 
 def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
     """Gibbs solution with mean energy E on a (possibly adaptive) truncation.
 
-    `h` may be a HamiltonianSpec, a witness with g_values, or a raw level
-    array. If E is at or above the truncated-space mean at beta = 0 the
-    constraint is inactive and beta clamps to 0.
+    `h` may be a HamiltonianSpec, a witness (g_values, and g for growth),
+    or a raw level array. If E is at or above the truncated-space mean at
+    beta = 0 the constraint is inactive and beta clamps to 0.
     """
-    levels = _adequate_dim(h, E, dim)
+    levels, clamped = _adequate_dim(h, E, dim)
     beta = _common_beta([levels], E)
     w = _weights_at(levels, beta)
     return GibbsSolution(
@@ -166,6 +223,7 @@ def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
         weights=w,
         mean_energy=float((w * levels).sum()),
         entropy=_eta_sum(w),
+        clamped=clamped,
     )
 
 
@@ -176,9 +234,12 @@ def max_entropy(h, E: float, dim: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class MultiGibbsSolution:
+    """Common-beta product solution; `clamped` as in GibbsSolution, for any factor."""
+
     beta: float
     entropies: tuple[float, ...]
     means: tuple[float, ...]
+    clamped: bool = False
 
     @property
     def entropy(self) -> float:
@@ -194,20 +255,29 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
 
     The entropy maximizer under a joint linear energy constraint is a
     product of Gibbs states sharing one inverse temperature, so a single
-    scalar root-find on the summed mean-energy curve suffices.
+    scalar root-find on the summed mean-energy curve suffices. Equal
+    Hamiltonians with equal dims are truncated once and share one level
+    array, whose weights are computed once.
     """
     if dims is None:
         dims = [None] * len(hams)
     if len(dims) != len(hams):
         raise ValueError("dims must align with hams")
-    levels_list = [_adequate_dim(h, E, d) for h, d in zip(hams, dims)]
+    grown: list[tuple] = []
+    for h, d in zip(hams, dims):
+        same = next((g for g in grown if g[1] == d and _same_levels(g[0], h)), None)
+        grown.append(same or (h, d, *_adequate_dim(h, E, d)))
+    levels_list = [g[2] for g in grown]
     beta = _common_beta(levels_list, E)
-    ents, means = [], []
+    terms: dict[int, tuple[float, float]] = {}
     for lv in levels_list:
-        w = _weights_at(lv, beta)
-        ents.append(_eta_sum(w))
-        means.append(float((w * lv).sum()))
-    return MultiGibbsSolution(beta=beta, entropies=tuple(ents), means=tuple(means))
+        if id(lv) not in terms:
+            w = _weights_at(lv, beta)
+            terms[id(lv)] = (_eta_sum(w), float((w * lv).sum()))
+    ents, means = zip(*(terms[id(lv)] for lv in levels_list))
+    return MultiGibbsSolution(
+        beta=beta, entropies=ents, means=means, clamped=any(g[3] for g in grown)
+    )
 
 
 def max_entropy_multi(hams: list, E: float, dims: list[int] | None = None) -> float:
@@ -248,7 +318,7 @@ def squared_hamiltonian_check(h, e_grid, dim: int | None = None) -> list[dict]:
     rows = []
     for e in e_grid:
         e = float(e)
-        lv = _adequate_dim(h, math.sqrt(e), dim)
+        lv, _ = _adequate_dim(h, math.sqrt(e), dim)
         f_sq = solve_beta(lv**2, e).entropy
         f_lin = solve_beta(lv, math.sqrt(e)).entropy
         rows.append(
@@ -286,7 +356,20 @@ class BoundParams:
             )
 
 
-def fcb_bound(p: BoundParams, eps: float) -> float:
+class BoundValue(float):
+    """A continuity-bound value; `clamped` says its ceiling F was cut at DIM_CAP.
+
+    A clamped F is a truncation value below the true ceiling, so the bound
+    is then not the bound it claims to be.
+    """
+
+    def __new__(cls, value: float, clamped: bool = False):
+        out = super().__new__(cls, value)
+        out.clamped = clamped
+        return out
+
+
+def fcb_bound(p: BoundParams, eps: float) -> BoundValue:
     """Continuity-bound value C sqrt(e(2-e)) F[2mE/(e(2-e))] + D g(sqrt(e(2-e))).
 
     Defined as 0 at eps = 0 (the faithfulness limit); errors outside [0, 1].
@@ -294,15 +377,18 @@ def fcb_bound(p: BoundParams, eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     if eps == 0.0:
-        return 0.0
+        return BoundValue(0.0)
     x = eps * (2.0 - eps)
     rx = math.sqrt(x)
     term = 0.0
+    clamped = False
     if p.C > 0:
         arg = 2.0 * p.m * p.E / x
         dims = None if p.trunc_dim is None else [p.trunc_dim] * p.m
-        term = p.C * rx * max_entropy_multi(list(p.hams), arg, dims)
-    return term + p.D * g_entropy(rx)
+        ceiling = solve_beta_multi(list(p.hams), arg, dims)
+        term = p.C * rx * ceiling.entropy
+        clamped = ceiling.clamped
+    return BoundValue(term + p.D * g_entropy(rx), clamped)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from qsep.approx import (
 )
 from qsep.entropy import _eta_sum, mutual_information
 from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, ghz_state
-from qsep.qmat import DensityOp, DimSig, partial_trace, product_operator, random_density
+from qsep.qmat import DensityOp, DimSig, eigh, partial_trace, product_operator, random_density, top_projector
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
 
 
@@ -78,14 +78,15 @@ class TestTruncationMap:
         twice = apply_plan(once, plan)
         assert np.allclose(once.mat, twice.mat, atol=1e-10)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 2), (3, 2, 4)])
     def test_compression_matches_dense_product(self, dims):
-        # random non-diagonal projectors on the first and last subsystems
-        # (identity in between), checked against the dense Q rho Q / Tr Q rho
+        # random non-diagonal projectors on every subsystem, so the local
+        # maps meet an empty prefix, an empty suffix and both nonempty;
+        # checked against the dense Q rho Q / Tr Q rho
         rng = np.random.default_rng(len(dims) * 10 + dims[-1])
         rho = random_density(dims, int(np.prod(dims)), seed=int(rng.integers(1 << 30)))
         projs = {}
-        for s in {0, len(dims) - 1}:
+        for s in range(len(dims)):
             d = dims[s]
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             v = np.linalg.qr(g)[0][:, : int(rng.integers(1, d))]
@@ -172,7 +173,48 @@ class TestTruncationChannels:
             DensityOp.create(out.sig, out.mat, validate=True)
 
 
+def local_kraus_oracle(rho, s, kraus):
+    """Dense sum of K X K^dagger with each local Kraus operator embedded at s."""
+    dims = rho.sig.dims
+    a, b = int(np.prod(dims[:s])), int(np.prod(dims[s + 1 :]))
+    out = np.zeros_like(rho.mat)
+    for k in kraus:
+        kf = np.kron(np.kron(np.eye(a), k), np.eye(b))
+        out += kf @ rho.mat @ kf.conj().T
+    return out
+
+
+LOCAL_DIMS = [(2, 3, 2), (3, 2, 4)]
+
+
 class TestLocalChannels:
+    @pytest.mark.parametrize("dims", LOCAL_DIMS)
+    def test_channels_match_dense_kraus_at_every_position(self, dims):
+        rho = random_density(dims, int(np.prod(dims)), seed=31 + dims[-1])
+        p = 0.3
+        for s, d in enumerate(dims):
+            basis = np.eye(d)
+            depol = [math.sqrt(1 - p) * basis] + [
+                math.sqrt(p / d) * np.outer(basis[i], basis[j]) for i in range(d) for j in range(d)
+            ]
+            dephase = [math.sqrt(1 - p) * basis] + [math.sqrt(p) * np.outer(e, e) for e in basis]
+            for chan, kraus in ((channel_depolarizing(p), depol), (channel_dephasing(p), dephase)):
+                maps = [None] * len(dims)
+                maps[s] = chan
+                got = apply_local_channels(rho, maps)
+                assert np.abs(got.mat - local_kraus_oracle(rho, s, kraus)).max() < 1e-14
+
+    @pytest.mark.parametrize("dims", LOCAL_DIMS)
+    def test_truncation_channels_match_dense_kraus_at_every_position(self, dims):
+        rho = random_density(dims, int(np.prod(dims)), seed=41 + dims[-1])
+        for s, d in enumerate(dims):
+            marg = partial_trace(rho, [s])
+            proj = top_projector(marg, 1)
+            tau = eigh(marg.mat).eigenvectors[:, 0]
+            kraus = [proj] + [np.outer(tau, e) @ (np.eye(d) - proj) for e in np.eye(d)]
+            got = truncation_channels(rho, [s], 1)
+            assert np.abs(got.mat - local_kraus_oracle(rho, s, kraus)).max() < 1e-14
+
     def test_depolarizing_trace_and_fixed_point(self):
         rho = random_density((2, 3), 5, seed=5)
         out = apply_local_channels(rho, [channel_depolarizing(1.0), None])

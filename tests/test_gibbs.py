@@ -2,20 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsep.entropy import mutual_information, von_neumann_entropy
 from qsep.gibbs import (
+    DIM_CAP,
+    ENERGY_TOL,
     BoundParams,
+    _adequate_dim,
+    _common_beta,
     check_asymptotic_condition,
     class_membership_check,
     fcb_bound,
     max_entropy,
     max_entropy_multi,
     solve_beta,
+    solve_beta_multi,
     squared_hamiltonian_check,
 )
 from qsep.qmat import DensityOp, DimSig, random_density
-from qsep.spectra import HamiltonianSpec
+from qsep.spectra import FAWitness, HamiltonianSpec, build_fa_witness, parse_family
 
 QUBIT = HamiltonianSpec.explicit([0.0, 1.0])
 LINEAR = HamiltonianSpec.linear(1.0)
@@ -59,6 +66,120 @@ class TestSolveBeta:
         sol = solve_beta(LINEAR, 1e9, dim=128)
         assert sol.beta == 0.0
         assert np.allclose(sol.weights, np.full(128, 1 / 128))
+        # a user-set truncation is what was asked for, not a cut ceiling
+        assert not sol.clamped
+
+    def test_cap_flag_only_for_growth_cut_at_cap(self):
+        # the qubit's beta = 0 clamp is the inactive constraint, not a cut
+        assert not solve_beta(QUBIT, 0.7).clamped
+        w = build_fa_witness(parse_family("geometric:0.02"))
+        assert not solve_beta(w, 100.0).clamped
+        cut = solve_beta(w, 1e5)
+        assert cut.clamped and cut.dim == DIM_CAP and cut.beta == 0.0
+        assert not solve_beta(w, 1e5, dim=4096).clamped
+        assert solve_beta_multi([QUBIT, w], 1e5).clamped
+        p = BoundParams(C=1.0, D=1.0, m=1, E=1.0, hams=(QUBIT,))
+        assert not fcb_bound(p, 0.5).clamped
+
+
+def summed_mean(levels_list, beta):
+    """Summed Gibbs mean energy, evaluated level array by level array."""
+    total = 0.0
+    for lv in levels_list:
+        w = np.exp(-beta * (lv - lv[0]))
+        total += float((w * lv).sum() / w.sum())
+    return total
+
+
+def summed_variance(levels_list, beta):
+    total = 0.0
+    for lv in levels_list:
+        w = np.exp(-beta * (lv - lv[0]))
+        w /= w.sum()
+        m = float((w * lv).sum())
+        total += float((w * (lv - m) ** 2).sum())
+    return total
+
+
+def bisection_oracle(levels_list, target):
+    """Plain bisection on the summed mean curve, independent of the solver."""
+    lo, hi = 0.0, 1.0
+    while summed_mean(levels_list, hi) > target:
+        lo, hi = hi, 2 * hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if summed_mean(levels_list, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@st.composite
+def level_problems(draw):
+    """1-3 nondecreasing level arrays, some listed twice (the same object),
+    and a target strictly between the ground energy and the beta = 0 mean."""
+    distinct = [
+        draw(st.floats(0.0, 3.0))
+        + np.cumsum([0.0] + draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=3))
+    levels_list = [distinct[i] for i in picks]
+    ground = sum(float(lv[0]) for lv in levels_list)
+    top = sum(float(lv.mean()) for lv in levels_list)
+    assume(top - ground > 0.1)
+    return levels_list, ground + draw(st.floats(0.05, 0.95)) * (top - ground)
+
+
+class TestCommonBeta:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(problem=level_problems())
+    def test_matches_independent_bisection(self, problem):
+        levels_list, target = problem
+        beta = _common_beta(levels_list, target)
+        ref = bisection_oracle(levels_list, target)
+        # the stop rule |m - E| <= ENERGY_TOL fixes beta only to within
+        # ENERGY_TOL / variance; keep draws where that is below 1e-9 beta
+        assume(ENERGY_TOL / summed_variance(levels_list, ref) < 1e-9 * ref)
+        met = abs(summed_mean(levels_list, beta) - target) <= ENERGY_TOL + 1e-13
+        collapsed = abs(beta - ref) <= 1e-13 * max(1.0, ref)
+        assert met or collapsed
+        assert abs(beta - ref) <= 1e-8 * ref
+
+    def test_repeated_array_counts_once_per_listing(self):
+        lv = np.array([0.0, 1.0, 2.5, 4.0])
+        twice = _common_beta([lv, lv], 1.2)
+        assert abs(twice - _common_beta([lv], 0.6)) <= 1e-12
+        assert abs(twice - bisection_oracle([lv, lv.copy()], 1.2)) <= 1e-8 * twice
+
+
+class TestTruncationGrowth:
+    # growth of the README witness that stops on a passing tail test, after
+    # five tested doublings (three cases) and at the cap with the beta = 0
+    # mean still below the target; only a stop at DIM_CAP is flagged
+    @pytest.mark.parametrize(
+        "energy, size",
+        [(1.0, 64), (100.0, 2048), (3446.0, 262144), (5000.0, DIM_CAP), (1e4, DIM_CAP)],
+        ids=["tail-test", "five-doublings-from-64", "five-doublings-from-8192", "five-doublings-to-cap", "mean-below-cap"],
+    )
+    def test_doubling_matches_direct_levels(self, energy, size):
+        w = build_fa_witness(parse_family("geometric:0.02"))
+        out, clamped = _adequate_dim(w, energy, None)
+        assert out.size == size
+        assert np.array_equal(out, w.g_values(out.size))
+        assert clamped == (size == DIM_CAP)
+
+    def test_equal_witnesses_grow_once(self, monkeypatch):
+        w = build_fa_witness(parse_family("geometric:0.02"))
+        w_copy = build_fa_witness(parse_family("geometric:0.02"))
+        assert w_copy == w and w_copy is not w
+        seen = []
+        g = FAWitness.g
+        monkeypatch.setattr(FAWitness, "g", lambda self, i: seen.append(id(self)) or g(self, i))
+        both = max_entropy_multi([w, w_copy], 200.0)
+        assert set(seen) == {id(w)}
+        assert abs(both - 2 * max_entropy(w, 100.0)) < 1e-8
 
 
 class TestMaxEntropy:
