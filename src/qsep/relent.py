@@ -41,14 +41,16 @@ from .spectra import HamiltonianSpec
 
 # fixed solver constants: alternating sweeps per oracle call, golden-section
 # steps per line search, corrective-pass evaluations per iteration, the weight
-# below which an atom is dropped, and the stall test (no objective descent
-# beyond STALL_TOL over STALL_WINDOW iterations)
+# below which an atom is dropped, the stall test (no objective descent
+# beyond STALL_TOL over STALL_WINDOW iterations) and the number of atom pairs
+# kept by the two-copy warm start
 LMO_SWEEPS = 50
 LINE_ITERS = 48
 POLISH_ITERS = 30
 PRUNE_TOL = 1e-10
 STALL_WINDOW = 20
 STALL_TOL = 1e-11
+LIFT_CAP = 400
 # multipliers mu of the capped oracle's stack G + mu H; mu = 0 comes first
 MU_GRID = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
 _LETTERS = string.ascii_letters
@@ -458,15 +460,15 @@ def _corrective_pass(rho_mat, vecs, w, atom_energies, e_cap, tr_rho_ln_rho, stop
     return cur[0]
 
 
-def _basis_factors(sig: DimSig, partition: Partition, idx) -> list[tuple]:
-    """Per-group one-hot factors of the computational product vectors e_idx."""
+def _basis_factors(sig: DimSig, partition: Partition, idx) -> list[np.ndarray]:
+    """Per-group (len(idx), d_g) one-hot factor stacks of the product vectors e_idx."""
     coords = np.unravel_index(idx, sig.dims)
     per_group = []
     for g in partition.groups:
         gdims = [sig.dims[s] for s in g]
         pos = np.ravel_multi_index([coords[s] for s in g], gdims)
         per_group.append(np.eye(int(np.prod(gdims)), dtype=complex)[pos])
-    return list(zip(*per_group))
+    return per_group
 
 
 def relative_entropy_entanglement(
@@ -513,19 +515,19 @@ def relative_entropy_entanglement(
             h_diag, e_cap, mus = h, e, MU_GRID
     h_mat = np.diag(h_diag)
 
-    # the mixture: weights w, stacked atom vectors vecs (K x D) and one
-    # factor tuple per atom
+    # the mixture: weights w, one (K, d_g) factor stack per partition group
+    # and their stacked product vectors vecs (K x D), all masked alike
     mix_w = 1e-8 if initial_atoms else 0.5
     if initial_atoms:
         w0 = [float(wt) for wt, _ in initial_atoms]
-        factors = [a.factors for _, a in initial_atoms]
-        vecs = _product_vectors([np.stack(fs) for fs in zip(*factors)], rho.sig.dims, partition.groups)
+        factors = [np.stack(fs) for fs in zip(*(a.factors for _, a in initial_atoms))]
+        vecs = _product_vectors(factors, rho.sig.dims, partition.groups)
     else:
         # best single product atom for rho anchors the start
         best = product_lmo(-rho_mat[None], rho.sig, partition, opts.restarts, rng)
         w0 = [1.0]
         if float((np.abs(best.vectors[0]) ** 2 * h_diag).sum()) <= e_cap:
-            vecs, factors = best.vectors, [tuple(f[0] for f in best.factors)]
+            vecs, factors = best.vectors, list(best.factors)
         else:
             ground_idx = int(np.argmin(h_diag))
             vecs = np.eye(1, dim, ground_idx, dtype=complex)
@@ -543,7 +545,8 @@ def relative_entropy_entanglement(
     if mix_w > 0:
         w = np.concatenate([w, np.full(dim, mix_w / dim)])
         vecs = np.vstack([vecs, np.eye(dim, dtype=complex)])
-        factors += _basis_factors(rho.sig, partition, np.arange(dim))
+        basis = _basis_factors(rho.sig, partition, np.arange(dim))
+        factors = [np.vstack([f, b]) for f, b in zip(factors, basis)]
 
     sigma = _mixture(w, vecs)
     spread = 0.0
@@ -596,13 +599,12 @@ def relative_entropy_entanglement(
             else:
                 w = np.append(w, t_star)
                 vecs = np.vstack([vecs, vec])
-                factors.append(tuple(f[pick] for f in cands.factors))
+                factors = [np.vstack([f, c[pick]]) for f, c in zip(factors, cands.factors)]
         atom_energies = (np.abs(vecs) ** 2 * h_diag).sum(axis=1)
         w = _corrective_pass(rho_mat, vecs, w, atom_energies, e_cap, tr_rho_ln_rho, max(opts.tol * 0.1, 1e-13))
         keep = w > PRUNE_TOL
-        w, vecs = w[keep], vecs[keep]
+        w, vecs, factors = w[keep], vecs[keep], [f[keep] for f in factors]
         w = w / w.sum()
-        factors = [f for f, kept in zip(factors, keep) if kept]
         sigma = _mixture(w, vecs)
         obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
         obj_history.append(obj)
@@ -627,7 +629,7 @@ def relative_entropy_entanglement(
         value=float(value),
         gap=float(gap),
         sigma=sigma_op,
-        atoms=[(wt, SepAtom(f)) for wt, f in zip(w, factors)],
+        atoms=[(wt, SepAtom(f)) for wt, f in zip(w, zip(*factors))],
         iterations=iterations,
         converged=converged,
         lmo_spread=spread,
@@ -658,7 +660,7 @@ def energy_sweep(
         cap = EnergyConstraint(hams=tuple(hams), E=e)
         sol = relative_entropy_entanglement(rho, partition, opts, initial_atoms=warm, constraint=cap)
         rows.append({"E": e, "value": sol.value, "gap": sol.gap, "iters": sol.iterations})
-        warm = [(w, a) for w, a in sol.atoms]
+        warm = sol.atoms
     return rows
 
 
@@ -667,6 +669,11 @@ def energy_sweep(
 # ---------------------------------------------------------------------------
 
 DIM_LIMIT = 4096
+
+
+def _admissible_copies(total: int) -> int:
+    """The most copies k of a total-dimensional state with total**k <= DIM_LIMIT."""
+    return int(math.floor(math.log(DIM_LIMIT) / math.log(total)))
 
 
 def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
@@ -681,9 +688,9 @@ def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
     n = len(dims)
     total = rho.sig.total**k
     if total > DIM_LIMIT:
-        k_ok = int(math.floor(math.log(DIM_LIMIT) / math.log(rho.sig.total)))
         raise ValueError(
-            f"dimension overflow: total {total} exceeds {DIM_LIMIT}; admissible k_max={max(1, k_ok)}"
+            f"dimension overflow: total {total} exceeds {DIM_LIMIT}; "
+            f"admissible k_max={_admissible_copies(rho.sig.total)}"
         )
     mat = rho.mat
     for _ in range(k - 1):
@@ -696,32 +703,30 @@ def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
     return DensityOp(DimSig(tuple(d**k for d in dims)), mat)
 
 
-def _lift_atoms_to_power(atoms: list, sig: DimSig, partition: Partition, cap: int = 400) -> list:
+def _lift_atoms_to_power(atoms: list, sig: DimSig, partition: Partition) -> list:
     """Products of two copies of first-power atoms, regrouped per party.
 
-    Keeps the `cap` heaviest pairs (ties in pair order) and renormalizes
-    their weights; factors are built for the kept pairs only."""
+    Keeps the LIFT_CAP heaviest pairs (ties in pair order) and renormalizes
+    their weights; factors are built for the kept pairs only, one broadcast
+    product per group."""
     dims = sig.dims
     w = np.asarray([wt for wt, _ in atoms])
     pair_w = np.outer(w, w).ravel()
     order = np.argsort(-pair_w, kind="stable")
-    order = order[pair_w[order] >= 1e-12][:cap]
+    order = order[pair_w[order] >= 1e-12][:LIFT_CAP]
     total = sum(pair_w[order])  # sequential sum, not pairwise
+    first, second = np.divmod(order, len(atoms))
+    stacks = [np.stack(fs) for fs in zip(*(a.factors for _, a in atoms))]
     lifted = []
-    for j in order:
-        (_, a), (_, b) = atoms[j // len(atoms)], atoms[j % len(atoms)]
-        factors = []
-        for g, fa, fb in zip(partition.groups, a.factors, b.factors):
-            shape = [dims[s] for s in g]
-            ta = fa.reshape(shape)
-            tb = fb.reshape(shape)
-            prod = np.tensordot(ta, tb, axes=0)  # a-axes then b-axes
-            m = len(shape)
-            interleave = [i for pair in zip(range(m), range(m, 2 * m)) for i in pair]
-            prod = np.transpose(prod, interleave)
-            factors.append(prod.reshape(-1))
-        lifted.append((pair_w[j] / total, SepAtom(tuple(factors))))
-    return lifted
+    for g, s in zip(partition.groups, stacks):
+        shape = [dims[x] for x in g]
+        # elementwise: at d_g <= 3 it rounds as a one-pair np.tensordot
+        # (zgemm) does, which einsum and a batched matmul do not
+        prod = (s[first][:, :, None] * s[second][:, None, :]).reshape([len(order)] + shape + shape)
+        m = len(shape)
+        interleave = [0] + [1 + i for pair in zip(range(m), range(m, 2 * m)) for i in pair]
+        lifted.append(np.transpose(prod, interleave).reshape(len(order), -1))
+    return [(pair_w[j] / total, SepAtom(f)) for j, f in zip(order, zip(*lifted))]
 
 
 def regularized_estimates(
@@ -736,32 +741,17 @@ def regularized_estimates(
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
     if rho.sig.total**k_max > DIM_LIMIT:
-        raise ValueError(
-            f"dimension overflow at k={k_max}; admissible k_max="
-            f"{int(math.floor(math.log(DIM_LIMIT) / math.log(rho.sig.total)))}"
-        )
+        raise ValueError(f"dimension overflow at k={k_max}; admissible k_max={_admissible_copies(rho.sig.total)}")
     if k_max not in (1, 2):
         raise ValueError(f"k_max must be 1 or 2, got {k_max}")
-    rows = []
-    first: ERSolution | None = None
-    for k in range(1, k_max + 1):
-        if k == 1:
-            sol = relative_entropy_entanglement(rho, partition, opts)
-            first = sol
-        else:
-            rho_k = tensor_power_regrouped(rho, k)
-            warm = _lift_atoms_to_power(first.atoms, rho.sig, partition)
-            sol = relative_entropy_entanglement(rho_k, partition, opts, initial_atoms=warm)
-        rows.append(
-            {
-                "k": k,
-                "value": sol.value / k,
-                "raw_value": sol.value,
-                "gap": sol.gap / k,
-                "iters": sol.iterations,
-            }
-        )
-    return rows
+    sols = [relative_entropy_entanglement(rho, partition, opts)]
+    if k_max == 2:
+        warm = _lift_atoms_to_power(sols[0].atoms, rho.sig, partition)
+        sols.append(relative_entropy_entanglement(tensor_power_regrouped(rho, 2), partition, opts, initial_atoms=warm))
+    return [
+        {"k": k, "value": sol.value / k, "raw_value": sol.value, "gap": sol.gap / k, "iters": sol.iterations}
+        for k, sol in enumerate(sols, start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -365,14 +365,20 @@ class TestSolverCore:
             sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=250))
             assert sol.value <= 1e-5
 
-    def test_returned_atoms_rebuild_sigma_grouped(self):
-        # few iterations, so one-hot basis atoms of the start survive; on the
-        # group {0, 2} their factors index a non-contiguous pair of subsystems
+    @pytest.mark.parametrize("max_iters", [2, 40])
+    def test_returned_atoms_rebuild_sigma_grouped(self, max_iters):
+        # after 2 iterations one-hot basis atoms of the start survive; on the
+        # group {0, 2} their factors index a non-contiguous pair of subsystems.
+        # After 40, pruning has dropped basis atoms, so the returned factors
+        # must follow the weights through every prune and append.
         rho = random_density((2, 3, 2), 12, seed=8)
         part = Partition(((0, 2), (1,)))
-        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=2))
+        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=max_iters))
         one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
-        assert len(one_hot) >= 2
+        if max_iters == 2:
+            assert len(one_hot) >= 2
+        else:
+            assert len(one_hot) < rho.sig.total
         rebuilt = atom_mixture(sol.atoms, rho.sig, part)
         assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
 
@@ -559,28 +565,60 @@ class TestRegularized:
             assert row["gap"] == sol.gap / k
             assert row["raw_value"] == sol.value
 
-    def test_lifted_pairs_rebuild_tensor_square(self):
-        # at most 20 atoms, so all K^2 <= 400 pairs are kept
-        sig = DimSig((2, 3, 2))
-        part = Partition(((0, 2), (1,)))
-        rng = np.random.default_rng(9)
+    @staticmethod
+    def random_atoms(rng, n_atoms, gdims):
         atoms = []
-        for w in rng.dirichlet(np.ones(7)):
+        for w in rng.dirichlet(np.ones(n_atoms)):
             factors = []
-            for dg in (4, 3):
+            for dg in gdims:
                 f = rng.standard_normal(dg) + 1j * rng.standard_normal(dg)
                 factors.append(f / np.linalg.norm(f))
             atoms.append((w, SepAtom(tuple(factors))))
+        return atoms
+
+    def test_lifted_pairs_rebuild_tensor_square(self, monkeypatch):
+        import qsep.relent as relent_mod
+
+        # at most 20 atoms, so all K^2 <= LIFT_CAP pairs are kept
+        sig = DimSig((2, 3, 2))
+        part = Partition(((0, 2), (1,)))
+        atoms = self.random_atoms(np.random.default_rng(9), 7, (4, 3))
         sigma = DensityOp(sig, atom_mixture(atoms, sig, part))
         lifted = _lift_atoms_to_power(atoms, sig, part)
         assert len(lifted) == 49
         square = tensor_power_regrouped(sigma, 2)
         rebuilt = atom_mixture(lifted, square.sig, part)
         assert np.abs(rebuilt - square.mat).max() < 1e-12
-        capped = _lift_atoms_to_power(atoms, sig, part, cap=5)
+        monkeypatch.setattr(relent_mod, "LIFT_CAP", 5)
+        capped = _lift_atoms_to_power(atoms, sig, part)
         kept = [w for w, _ in capped]
         assert len(kept) == 5 and kept == sorted(kept, reverse=True)
         assert abs(sum(kept) - 1.0) < 1e-12
+
+    def test_lift_keeps_heaviest_pairs_when_cap_binds(self):
+        # 25 atoms give 625 pairs, more than LIFT_CAP; the group {0, 2}
+        # (d_g = 4) joins a non-contiguous pair of subsystems
+        import qsep.relent as relent_mod
+
+        sig = DimSig((2, 3, 2))
+        part = Partition(((0, 2), (1,)))
+        atoms = self.random_atoms(np.random.default_rng(10), 25, (4, 3))
+        assert len(atoms) ** 2 > relent_mod.LIFT_CAP
+        lifted = _lift_atoms_to_power(atoms, sig, part)
+        w = np.asarray([wt for wt, _ in atoms])
+        pair_w = np.outer(w, w).ravel()
+        heaviest = sorted(range(len(pair_w)), key=lambda j: -pair_w[j])[: relent_mod.LIFT_CAP]
+        total = sum(pair_w[heaviest])
+        assert [wt for wt, _ in lifted] == [pair_w[j] / total for j in heaviest]
+        assert abs(sum(wt for wt, _ in lifted) - 1.0) < 1e-12
+        for j, (_, atom) in zip(heaviest, lifted):
+            a, b = atoms[j // len(atoms)][1], atoms[j % len(atoms)][1]
+            # per-pair reference: a's axes then b's, interleaved per subsystem
+            fa, fb = a.factors[0].reshape(2, 2), b.factors[0].reshape(2, 2)
+            ref4 = np.transpose(np.tensordot(fa, fb, axes=0), (0, 2, 1, 3)).reshape(-1)
+            ref3 = np.tensordot(a.factors[1], b.factors[1], axes=0).reshape(-1)
+            assert np.abs(atom.factors[0] - ref4).max() <= 1e-15
+            assert np.array_equal(atom.factors[1], ref3)
 
     def test_dimension_overflow_names_kmax(self):
         rho = random_density((8, 8), 8, seed=5)
