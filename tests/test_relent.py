@@ -365,20 +365,25 @@ class TestSolverCore:
             sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=250))
             assert sol.value <= 1e-5
 
-    @pytest.mark.parametrize("max_iters", [2, 40])
-    def test_returned_atoms_rebuild_sigma_grouped(self, max_iters):
-        # after 2 iterations one-hot basis atoms of the start survive; on the
-        # group {0, 2} their factors index a non-contiguous pair of subsystems.
-        # After 40, pruning has dropped basis atoms, so the returned factors
-        # must follow the weights through every prune and append.
+    def test_returned_atoms_rebuild_sigma_grouped(self):
+        # few iterations, so one-hot basis atoms of the start survive; on the
+        # group {0, 2} their factors index a non-contiguous pair of subsystems
         rho = random_density((2, 3, 2), 12, seed=8)
         part = Partition(((0, 2), (1,)))
-        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=max_iters))
+        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=2))
         one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
-        if max_iters == 2:
-            assert len(one_hot) >= 2
-        else:
-            assert len(one_hot) < rho.sig.total
+        assert len(one_hot) >= 2
+        rebuilt = atom_mixture(sol.atoms, rho.sig, part)
+        assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
+
+    def test_returned_atoms_rebuild_sigma_after_pruning(self):
+        # after 40 iterations pruning has dropped basis atoms, so the returned
+        # factors must follow the weights through every prune and append
+        rho = random_density((2, 3, 2), 12, seed=8)
+        part = Partition(((0, 2), (1,)))
+        sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=40))
+        one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
+        assert len(one_hot) < rho.sig.total
         rebuilt = atom_mixture(sol.atoms, rho.sig, part)
         assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
 
