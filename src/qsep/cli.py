@@ -148,7 +148,7 @@ def _cmd_zeta(config: dict):
     else:
         target = fam
     betas = tuple(config["betas"]) if "betas" in config else None
-    res = zeta_limit(target, betas=betas, n_max=int(config.get("n_max", 2_000_000)))
+    res = zeta_limit(target, betas=betas)
     rows = [[b, v] for b, v in zip(res.betas, res.values)]
     return ["beta", "value"], rows, {"extrapolated": res.extrapolated}, []
 

@@ -374,7 +374,10 @@ def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho):
 
     Several candidates step in lockstep, one stacked evaluation per step.
     A single candidate (every unconstrained iteration) keeps the scalar
-    search: a stack of one costs more than the plain matrices."""
+    search: a stack of one costs more than the plain matrices. Run through
+    `_golden_lockstep`, a single candidate gives bit-identical outputs but
+    costs 1.71x, 1.48x, 1.31x and 1.26x the scalar search at D = 4, 9, 16
+    and 81 (one BLAS thread, median of 7 runs)."""
     if len(vecs) == 1:
         direction = np.outer(vecs[0], vecs[0].conj())
 
@@ -519,6 +522,13 @@ def relative_entropy_entanglement(
     # and their stacked product vectors vecs (K x D), all masked alike
     mix_w = 1e-8 if initial_atoms else 0.5
     if initial_atoms:
+        gdims = [int(np.prod([rho.sig.dims[s] for s in g])) for g in partition.groups]
+        for idx, (_, atom) in enumerate(initial_atoms):
+            if len(atom.factors) != len(gdims):
+                raise ValueError(f"initial atom {idx} has {len(atom.factors)} factors for groups {partition.groups}")
+            for g, (f, dg) in enumerate(zip(atom.factors, gdims)):
+                if f.shape != (dg,):
+                    raise ValueError(f"initial atom {idx}: group {g} factor has shape {f.shape}, expected ({dg},)")
         w0 = [float(wt) for wt, _ in initial_atoms]
         factors = [np.stack(fs) for fs in zip(*(a.factors for _, a in initial_atoms))]
         vecs = _product_vectors(factors, rho.sig.dims, partition.groups)

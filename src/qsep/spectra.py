@@ -10,7 +10,9 @@ approximability witnesses.
 
 Summation convention: partial sums are exact up to a head cutoff and are
 completed with a midpoint integral of the closed form, which keeps the
-relative tail error around 1/N^2.
+relative tail error around 1/N^2. Tails follow the same convention: every
+tail, weighted or not, is read from :meth:`SpectrumFamily.weighted_tail_from`,
+which sums exactly up to the head cutoff and adds the integral beyond it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ DEFAULT_BETAS = (0.2, 0.1, 0.05, 0.02, 0.01)
 TERM_CUT = 1e-12
 T_CEIL = 700.0
 CHECK_N = 100_000
+N_MAX = 2_000_000  # terms summed directly in ln Z before the integral tail
+WITNESS_HEAD_N = 20_000  # terms summed directly in a witness's ln Z
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -124,25 +128,32 @@ class HamiltonianSpec:
     def finite_dim(self) -> int | None:
         return len(self.levels) if self.kind == "explicit" else None
 
-    def values(self, dim: int) -> np.ndarray:
-        """Levels h(1..dim) as a float array."""
+    def level(self, i: np.ndarray) -> np.ndarray:
+        """Levels h_i at a float array of indices i >= 1 (at most the list
+        length for an explicit H)."""
         if self.kind == "explicit":
-            if dim > len(self.levels):
-                raise ValueError(
-                    f"explicit Hamiltonian has {len(self.levels)} levels, requested {dim}"
-                )
-            return np.asarray(self.levels[:dim], dtype=float) + self.offset
-        i = np.arange(1, dim + 1, dtype=float)
+            return np.asarray(self.levels, dtype=float)[i.astype(int) - 1] + self.offset
         if self.kind == "logpow":
             return self.a * np.log(i) ** self.p + self.offset
         if self.kind == "linear":
             return self.w * (i - 1) + self.offset
         raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
 
+    def values(self, dim: int) -> np.ndarray:
+        """Levels h(1..dim) as a float array."""
+        if self.kind == "explicit" and dim > len(self.levels):
+            raise ValueError(f"explicit Hamiltonian has {len(self.levels)} levels, requested {dim}")
+        return self.level(np.arange(1, dim + 1, dtype=float))
+
+    def diverges_at(self, beta: float) -> bool:
+        """Whether Tr e^{-beta H} diverges: only for a logpow H with p < 1,
+        or p = 1 and a beta <= 1 (a sum of i^{-a beta})."""
+        return self.kind == "logpow" and (self.p < 1.0 or (self.p == 1.0 and self.a * beta <= 1.0))
+
     def ground(self) -> float:
         return float(self.values(1)[0])
 
-    def log_partition_value(self, beta: float, n_max: int = 2_000_000) -> float:
+    def log_partition_value(self, beta: float) -> float:
         """ln Tr e^{-beta H} with integral tail correction; inf when divergent."""
         if beta <= 0:
             raise ValueError("partition function needs beta > 0")
@@ -153,15 +164,14 @@ class HamiltonianSpec:
         if self.kind == "linear":
             x = math.exp(-beta * self.w)
             return shift - math.log1p(-x)
-        a, p = self.a, self.p
-        s = a * beta
-        if p < 1.0 or (p == 1.0 and s <= 1.0):
+        if self.diverges_at(beta):
             return math.inf
+        p, s = self.p, self.a * beta
         total = 0.0
         n = 0
         block = 100_000
-        while n < n_max:
-            hi = min(n + block, n_max)
+        while n < N_MAX:
+            hi = min(n + block, N_MAX)
             i = np.arange(n + 1, hi + 1, dtype=float)
             terms = np.exp(-s * np.log(i) ** p)
             total += float(terms.sum())
@@ -176,9 +186,9 @@ class HamiltonianSpec:
             log_tail = _log_exp_integral(lambda t: t - s * t**p, t0, t_peak)
         return shift + float(np.logaddexp(math.log(total), log_tail))
 
-    def partition_value(self, beta: float, n_max: int = 2_000_000) -> float:
+    def partition_value(self, beta: float) -> float:
         """Tr e^{-beta H}; inf when divergent or beyond float range."""
-        lv = self.log_partition_value(beta, n_max)
+        lv = self.log_partition_value(beta)
         return math.exp(lv) if lv < 700.0 else math.inf
 
 
@@ -284,19 +294,12 @@ class SpectrumFamily:
             return out
         if self.kind == "gibbs":
             dim = self.ham.finite_dim
-            if dim is not None:
-                out = np.zeros_like(i)
-                mask = i <= dim
-                if mask.any():
-                    idx = i[mask].astype(int)
-                    v = self.ham.values(dim)
-                    out[mask] = np.exp(-self.beta * v[idx - 1])
-                return out
-            if self.ham.kind == "logpow":
-                h = self.ham.a * np.log(i) ** self.ham.p + self.ham.offset
-            else:
-                h = self.ham.w * (i - 1.0) + self.ham.offset
-            return np.exp(-self.beta * h)
+            if dim is None:
+                return np.exp(-self.beta * self.ham.level(i))
+            out = np.zeros_like(i)
+            mask = i <= dim
+            out[mask] = np.exp(-self.beta * self.ham.level(i[mask]))
+            return out
         j = np.maximum(i, float(self.i0))
         if self.kind == "powlog":
             return 1.0 / (j * np.log(j) ** self.q)
@@ -352,11 +355,12 @@ class SpectrumFamily:
             i += 1
 
     def _raw_tail_integral(self, n, k: float = 0.0) -> float:
-        """Sum of raw_term(i) ln^k i over i > n via midpoint integral (inf if divergent)."""
-        x0 = float(n) + 0.5
-        t0 = math.log(x0)
-        if self.kind == "explicit" or (self.kind == "gibbs" and self.ham.finite_dim is not None):
-            return 0.0
+        """Sum of raw_term(i) ln^k i over i > n: the remaining terms of a
+        finite kind, else a midpoint integral (inf if divergent)."""
+        dim = len(self.values_list) if self.kind == "explicit" else (self.ham.finite_dim if self.ham else None)
+        if dim is not None:
+            return self._raw_partial(dim, k) - self._raw_partial(min(int(n), dim), k)
+        t0 = math.log(float(n) + 0.5)
         if self.kind == "geometric":
             return self._scalar_tail_sum(n, k, self.q)
         if self.kind == "gibbs":
@@ -364,11 +368,10 @@ class SpectrumFamily:
                 return self._scalar_tail_sum(n, k, math.exp(-self.beta * self.ham.w)) * math.exp(
                     -self.beta * self.ham.offset
                 )
-            a, p = self.ham.a, self.ham.p
-            sb = self.beta * a
-            scale = math.exp(-self.beta * self.ham.offset)
-            if p < 1.0 or (p == 1.0 and sb <= 1.0):
+            if self.ham.diverges_at(self.beta):
                 return math.inf
+            p, sb = self.ham.p, self.beta * self.ham.a
+            scale = math.exp(-self.beta * self.ham.offset)
             if p == 1.0:
 
                 def expo(t):
@@ -415,45 +418,37 @@ class SpectrumFamily:
         return self.norm * self._raw_partial(n)
 
     def tail_weight(self, n: int) -> float:
-        """Weight beyond index n (the truncation weight), closed form where possible."""
-        if self.kind == "geometric":
-            return self.q**n
-        if self.kind == "explicit":
-            return max(0.0, 1.0 - self.partial_weight(n))
-        if n <= HEAD_N:
-            head = self._raw_partial(HEAD_N) - self._raw_partial(n)
-            return self.norm * (head + self._raw_tail_integral(HEAD_N))
-        return self.norm * self._raw_tail_integral(n)
+        """Weight beyond index n (the truncation weight)."""
+        return self.weighted_tail_from(0.0, n)
 
     def weighted_partial(self, k: float, n: int) -> float:
         """Sum_{i<=n} lambda_i ln^k i."""
         return self.norm * self._raw_partial(int(n), float(k))
 
     def weighted_tail_from(self, k: float, n) -> float:
-        """Sum_{i>n} lambda_i ln^k i via the analytic tail (inf if divergent)."""
+        """Sum_{i>n} lambda_i ln^k i (inf if divergent). The geometric mass is
+        q^n; below HEAD_N the exact head up to HEAD_N plus the analytic tail
+        beyond it, cached per k; from HEAD_N on the analytic tail alone."""
         k = float(k)
-        if n < HEAD_N and self.kind in ("powlog", "loglog"):
-            head = self._raw_partial(HEAD_N, k) - self._raw_partial(int(n), k)
-            return self.norm * (head + self._raw_tail_integral(HEAD_N, k))
-        return self.norm * self._raw_tail_integral(n, k)
+        if self.kind == "geometric" and k == 0.0:
+            return self.q**n
+        if n >= HEAD_N:
+            return self.norm * self._raw_tail_integral(n, k)
+        key = ("tail", k)
+        if key not in self._cache:
+            # norm P(HEAD_N) - norm P(n) + norm T(HEAD_N), in this order, for n < HEAD_N
+            part = self.norm * np.concatenate(([0.0], self._cum(k)))
+            self._cache[key] = part[-1] - part[:-1] + self.norm * self._raw_tail_integral(HEAD_N, k)
+        return float(self._cache[key][max(int(n), 0)])
 
     def classify_weighted(self, k: float) -> str:
         """Convergence verdict for sum lambda_i ln^k i by integral comparison."""
-        if self.kind == "explicit":
+        if self.kind == "explicit" or (self.kind == "gibbs" and self.ham.finite_dim is not None):
             return INCONCLUSIVE
         if self.kind == "geometric":
             return CONVERGES
         if self.kind == "gibbs":
-            if self.ham.finite_dim is not None:
-                return INCONCLUSIVE
-            if self.ham.kind == "linear":
-                return CONVERGES
-            a, p = self.ham.a, self.ham.p
-            if p > 1.0:
-                return CONVERGES
-            if p == 1.0:
-                return CONVERGES if a * self.beta > 1.0 + 1e-12 else DIVERGES
-            return DIVERGES
+            return DIVERGES if self.ham.diverges_at(self.beta) else CONVERGES
         s = self.q - k
         p = self.p if self.kind == "loglog" else 0.0
         if s > 1.0:
@@ -564,7 +559,7 @@ def _extrapolate(betas: np.ndarray, values: np.ndarray) -> float:
     return float(sol[0])
 
 
-def zeta_limit(h, betas=None, n_max: int = 2_000_000) -> ZetaResult:
+def zeta_limit(h, betas=None) -> ZetaResult:
     """Evaluate [Tr e^{-beta H}]^beta along a beta grid and extrapolate to 0+.
 
     Accepts a HamiltonianSpec or any object exposing log_partition_value
@@ -580,7 +575,7 @@ def zeta_limit(h, betas=None, n_max: int = 2_000_000) -> ZetaResult:
         raise ValueError("betas must be positive and strictly decreasing")
     values = []
     for b in betas:
-        lz = h.log_partition_value(b, n_max)
+        lz = h.log_partition_value(b)
         values.append(math.inf if math.isinf(lz) else math.exp(b * lz))
     if any(math.isinf(v) for v in values):
         return ZetaResult(betas, tuple(values), math.inf)
@@ -618,13 +613,12 @@ class FAWitness:
     def g_values(self, dim: int) -> np.ndarray:
         return self.g(np.arange(1, dim + 1))
 
-    def log_partition_value(self, beta: float, n_max: int = 2_000_000) -> float:
+    def log_partition_value(self, beta: float) -> float:
         """ln sum_i e^{-beta g_i}: exact head plus per-block Gaussian integrals in ln-space."""
         if beta <= 0:
             raise ValueError("partition value needs beta > 0")
-        head_n = min(20_000, n_max)
-        log_total = math.log(float(np.exp(-beta * self.g(np.arange(1, head_n + 1))).sum()))
-        t_lo = math.log(head_n + 0.5)
+        log_total = math.log(float(np.exp(-beta * self.g(np.arange(1, WITNESS_HEAD_N + 1))).sum()))
+        t_lo = math.log(WITNESS_HEAD_N + 0.5)
         bounds = list(self.block_bounds_t) + [math.inf]
         prev = 0.0
         for k, tb in enumerate(bounds, start=1):
@@ -662,16 +656,8 @@ def build_fa_witness(s: SpectrumFamily) -> FAWitness:
     if s.classify_weighted(2.0) != CONVERGES:
         raise ValueError("no witness: the ln^2-weighted sum is not known to converge")
 
-    head_tail = s.weighted_tail_from(2.0, HEAD_N)
-    cum2_full = s.weighted_partial(2.0, HEAD_N)
-
     def tail_ln2(t: float) -> float:
-        n = math.floor(math.exp(min(t, T_CEIL)))
-        if n < 1:
-            n = 0
-        if n <= HEAD_N:
-            return cum2_full - (s.weighted_partial(2.0, n) if n else 0.0) + head_tail
-        return s.weighted_tail_from(2.0, n)
+        return s.weighted_tail_from(2.0, math.floor(math.exp(min(t, T_CEIL))))
 
     total = tail_ln2(0.0)
     if not math.isfinite(total) or total <= 0:

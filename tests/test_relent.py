@@ -406,6 +406,18 @@ class TestSolverCore:
         coarse = relative_entropy_entanglement(rho, Partition(((0, 1), (2,))), FAST)
         assert fine.value >= coarse.value - 2 * (fine.gap + coarse.gap) - 1e-9
 
+    def test_initial_atoms_with_surplus_factor_rejected(self):
+        e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        atoms = [(0.5, SepAtom((e0, e0))), (0.5, SepAtom((e0, e1, e1)))]
+        with pytest.raises(ValueError, match=r"initial atom 1 has 3 factors for groups \(\(0,\), \(1,\)\)"):
+            relative_entropy_entanglement(bell_state(), None, SolverOpts(max_iters=5), initial_atoms=atoms)
+
+    def test_initial_atoms_with_wrong_factor_length_rejected(self):
+        e0 = np.array([1.0, 0.0])
+        atoms = [(1.0, SepAtom((e0, np.array([0.0, 0.6, 0.8]))))]
+        with pytest.raises(ValueError, match=r"initial atom 0: group 1 factor has shape \(3,\), expected \(2,\)"):
+            relative_entropy_entanglement(bell_state(), None, SolverOpts(max_iters=5), initial_atoms=atoms)
+
 
 class TestEnergyConstrained:
     def test_inactive_constraint_matches(self):

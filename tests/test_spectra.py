@@ -6,6 +6,7 @@ import pytest
 from qsep.spectra import (
     CONVERGES,
     DIVERGES,
+    HEAD_N,
     INCONCLUSIVE,
     HamiltonianSpec,
     SpectrumFamily,
@@ -108,6 +109,55 @@ class TestNormalization:
             SpectrumFamily.powlog(1.0)
         with pytest.raises(ValueError):
             SpectrumFamily.loglog(1.0, 1.0)
+
+
+TAIL_FAMILIES = {
+    "geometric": lambda: SpectrumFamily.geometric(0.5),
+    "powlog": lambda: SpectrumFamily.powlog(4),
+    "loglog": lambda: SpectrumFamily.loglog(3, 2),
+    "explicit-3": lambda: SpectrumFamily.explicit([0.5, 0.3, 0.2]),
+    "explicit-60000": lambda: SpectrumFamily.explicit(np.linspace(2.0, 1.0, 60_000)),
+    "gibbs-explicit": lambda: SpectrumFamily.gibbs_of(HamiltonianSpec.explicit(np.linspace(0.0, 10.0, 60_000)), 1.0),
+    "gibbs-linear": lambda: SpectrumFamily.gibbs_of(HamiltonianSpec.linear(1.0), 0.5),
+    "gibbs-logpow": lambda: SpectrumFamily.gibbs_of(HamiltonianSpec.logpow(4, 2), 0.5),
+}
+TAIL_NS = (0, 1, 3, HEAD_N - 1, HEAD_N, 2 * HEAD_N)
+
+
+class TestTails:
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("name", list(TAIL_FAMILIES))
+    def test_one_tail_rule(self, name, k):
+        fam = TAIL_FAMILIES[name]()
+        total = fam.weighted_tail_from(k, 0)
+        tails = [fam.weighted_tail_from(k, n) for n in TAIL_NS]
+        for n, tail in zip(TAIL_NS, tails):
+            assert fam.weighted_partial(k, n) + tail == pytest.approx(total, rel=1e-6, abs=1e-300)
+            assert fam.tail_weight(n) == fam.weighted_tail_from(0.0, n)
+        assert all(b <= a for a, b in zip(tails, tails[1:]))
+
+    def test_explicit_weighted_tail(self):
+        fam = SpectrumFamily.explicit([0.5, 0.3, 0.2])
+        assert fam.weighted_tail_from(1.0, 1) == pytest.approx(0.3 * math.log(2) + 0.2 * math.log(3), rel=1e-12)
+
+    def test_finite_gibbs_tail_beyond_head(self):
+        fam = SpectrumFamily.gibbs_of(HamiltonianSpec.explicit(np.zeros(60_000)), 1.0)
+        assert fam.tail_weight(55_000) == pytest.approx(1.0 / 12.0, rel=1e-12)
+
+    def test_gibbs_tail_weight_matches_weighted_tail(self):
+        fam = SpectrumFamily.gibbs_of(HamiltonianSpec.logpow(4, 2), 0.5)
+        assert fam.weighted_tail_from(0.0, 3) == fam.tail_weight(3)
+        assert fam.tail_weight(3) == pytest.approx(1.0 - fam.partial_weight(3), rel=1e-9)
+
+
+def test_logpow_divergence_rule_is_shared():
+    h = HamiltonianSpec.logpow(1, 1)
+    assert math.isinf(h.log_partition_value(1.0))
+    with pytest.raises(ValueError, match="diverges"):
+        SpectrumFamily.gibbs_of(h, 1.0)
+    beta = 1.0 + 1e-13
+    assert math.isfinite(h.log_partition_value(beta))
+    assert SpectrumFamily.gibbs_of(h, beta).classify_weighted(0.0) == CONVERGES
 
 
 class TestZetaLimit:
