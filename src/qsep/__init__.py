@@ -7,7 +7,6 @@ from .qmat import (
     DimSig,
     SpectralDecomp,
     eigh,
-    kron,
     kron_density,
     load_state,
     partial_trace,

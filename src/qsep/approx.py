@@ -215,11 +215,13 @@ def make_channel_product(specs: list):
 
     def build(spec):
         name, *args = spec if isinstance(spec, (tuple, list)) else (spec,)
-        if name is None or name == "identity":
-            return None
-        if name not in CHANNEL_REGISTRY:
+        identity = name is None or name == "identity"
+        if not identity and name not in CHANNEL_REGISTRY:
             raise ValueError(f"unknown channel {name!r}")
-        return CHANNEL_REGISTRY[name](*[float(a) for a in args])
+        arity = 0 if identity else 1  # every registered channel takes one weight
+        if len(args) != arity:
+            raise ValueError(f"channel {name!r} takes {arity} argument(s), got {len(args)}")
+        return None if identity else CHANNEL_REGISTRY[name](float(args[0]))
 
     chans = [build(spec) for spec in specs]
 
@@ -276,11 +278,11 @@ def gentle_bound_check(rho: DensityOp, subset, r: int) -> dict:
     }
 
 
-def witness_operator(rho: DensityOp, s: int, g_values: np.ndarray) -> np.ndarray:
+def witness_operator(rho: DensityOp, s: int, levels: np.ndarray) -> np.ndarray:
     """Witness matrix diagonal in the descending eigenbasis of the s-th marginal."""
     marg = partial_trace(rho, [s])
     dec = eigh(marg.mat)
-    g = np.asarray(g_values, dtype=float)[: marg.dim]
+    g = np.asarray(levels, dtype=float)[: marg.dim]
     return hermitian_part((dec.eigenvectors * g) @ dec.eigenvectors.conj().T)
 
 
@@ -406,7 +408,7 @@ def truncation_experiment(
         if len(set(subs)) < len(subs) or not set(subs) <= set(range(rho.sig.nsys)):
             raise ValueError(f"witness subsystems {subs} must be distinct subsystems of 0..{rho.sig.nsys - 1}")
         g_ops = {
-            s: witness_operator(rho, s, np.asarray(w.g_values(rho.sig.dims[s])))
+            s: witness_operator(rho, s, w.values(rho.sig.dims[s]))
             for s, w in zip(subs, witnesses)
         }
         e_s = sum(

@@ -60,6 +60,16 @@ def _require(config: dict, field: str, kind=None):
     return value
 
 
+def _int_field(section: dict, field: str, default=None, within: str | None = None):
+    """An optional integer field >= 1; anything else (a bool, a float, a
+    string, a value below 1) raises ConfigError naming the field."""
+    value = section.get(field, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        where = f"{field!r}" + (f" in {within!r}" if within else "")
+        raise ConfigError(f"config field {where} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def resolve_state(spec, seed_note="state") -> DensityOp:
     """A state is either 'fixture:<name>' or a path to the JSON matrix format."""
     if not isinstance(spec, str):
@@ -125,7 +135,7 @@ def _cmd_gibbs(config: dict):
     if not isinstance(ham, HamiltonianSpec):
         raise ConfigError("config field 'hamiltonian' must parse to a Hamiltonian literal")
     e_grid = sorted(float(e) for e in _require(config, "E_grid", list))
-    dim = config.get("dim")
+    dim = _int_field(config, "dim")
 
     rows = []
     for e in e_grid:
@@ -165,15 +175,10 @@ def _cmd_approx(config: dict):
         fams = [parse_family(t) for t in config["witness_families"]]
         witnesses = [build_fa_witness(fam) for fam in fams]
         bound = config.get("bound", {})
-        trunc_dim = bound.get("trunc_dim")
-        if trunc_dim is not None and (isinstance(trunc_dim, bool) or not isinstance(trunc_dim, int) or trunc_dim < 1):
-            raise ConfigError(
-                f"config field 'bound' rejected: trunc_dim must be an integer >= 1, got {trunc_dim!r}"
-            )
         template = BoundTemplate(
             C=float(bound.get("C", 2.0)),
             D=float(bound.get("D", rho.sig.nsys)),
-            trunc_dim=trunc_dim,
+            trunc_dim=_int_field(bound, "trunc_dim", within="bound"),
         )
     report = truncation_experiment(
         rho, f, subset, r_grid, witnesses=witnesses, template=template
@@ -223,7 +228,7 @@ def _cmd_er(config: dict):
 def _cmd_er_reg(config: dict):
     rho = resolve_state(_require(config, "state"))
     part = _partition(config, rho.sig.nsys)
-    k_max = int(config.get("k_max", 2))
+    k_max = _int_field(config, "k_max", 2)
     rows_d = regularized_estimates(rho, part, k_max, _solver_opts(config))
     rows = [[r["k"], r["value"], r["gap"], r["iters"]] for r in rows_d]
     violations = []

@@ -97,23 +97,16 @@ def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:
 
 
 def conditional_entropy(rho: DensityOp, part: int = 0) -> float:
-    """Extended conditional entropy S(A|B) = S(rho_A) - D(rho || rho_A x rho_B).
+    """Conditional entropy S(A|B) = S(rho) - S(rho_B) of a bipartite state.
 
-    `part` selects which subsystem plays A (0 or 1) of a bipartite state.
-    At finite dimension this equals S(rho) - S(rho_B).
+    `part` selects which subsystem plays A (0 or 1). At finite dimension
+    this equals the extended form S(rho_A) - D(rho || rho_A x rho_B).
     """
     if rho.sig.nsys != 2:
         raise ValueError(f"conditional entropy needs a bipartite signature, got {rho.sig.dims}")
     if part not in (0, 1):
         raise ValueError(f"part must be 0 or 1, got {part}")
-    a, b = part, 1 - part
-    rho_a = partial_trace(rho, [a])
-    rho_b = partial_trace(rho, [b])
-    prod = np.kron(rho_a.mat, rho_b.mat) if a < b else np.kron(rho_b.mat, rho_a.mat)
-    d = relative_entropy(rho, DensityOp(rho.sig, prod))
-    if math.isinf(d):
-        return -math.inf
-    return von_neumann_entropy(rho_a) - d
+    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, [1 - part]))
 
 
 def _check_groups(groups: list[list[int]], nsys: int) -> list[list[int]]:

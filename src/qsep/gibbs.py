@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .entropy import _eta_sum, binary_entropy, g_entropy, von_neumann_entropy
 from .qmat import DensityOp, DimSig, partial_trace
-from .spectra import HamiltonianSpec
 
 ENERGY_TOL = 1e-10
 DIM_FLOOR = 64
@@ -25,47 +23,37 @@ TERM_CRIT = 1e-14
 MEMBERSHIP_SLACK = 1e-8
 
 
-@lru_cache(maxsize=128)
-def _spec_levels(h: HamiltonianSpec, dim: int) -> np.ndarray:
-    arr = h.values(dim)
-    arr.setflags(write=False)
-    return arr
+def _is_source(h) -> bool:
+    """Whether h is a level source (a HamiltonianSpec or a witness, with
+    `level`, `values` and `finite_dim`) rather than a raw level array."""
+    return hasattr(h, "level")
 
 
-def _levels_of(h, dim: int | None) -> np.ndarray:
-    """Materialize a level sequence from a HamiltonianSpec, witness, or array."""
-    if isinstance(h, HamiltonianSpec):
-        d = dim if dim is not None else (h.finite_dim or DIM_FLOOR)
-        return _spec_levels(h, d)
-    if hasattr(h, "g_values"):
-        return np.asarray(h.g_values(dim if dim is not None else DIM_FLOOR), dtype=float)
+def _levels_of(h, dim: int | None) -> tuple[np.ndarray, bool]:
+    """Levels 1..dim of h, and whether they may grow.
+
+    A level source yields values(dim); without a dim it yields its whole
+    finite length, or DIM_FLOOR levels that may grow by doubling when it
+    is infinite. A raw level array is taken whole.
+    """
+    if _is_source(h):
+        if dim is None and h.finite_dim is None:
+            return h.values(DIM_FLOOR), True
+        return h.values(dim if dim is not None else h.finite_dim), False
     arr = np.asarray(h, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("level sequence must be a nonempty 1-D array")
-    return arr
-
-
-def _can_grow(h) -> bool:
-    if isinstance(h, HamiltonianSpec):
-        return h.finite_dim is None
-    return hasattr(h, "g_values")
+    return arr, False
 
 
 def _doubled(h, levels: np.ndarray) -> np.ndarray:
-    """Levels 1..2n of a growable h from its levels 1..n.
+    """Levels 1..2n of a growable level source from its levels 1..n.
 
-    A witness evaluates only the new half, which is bit-identical to
-    g_values(2n) as g is elementwise; Hamiltonian levels are cached.
+    Only the new half is evaluated; levels are elementwise, so the result
+    is bit-identical to values(2n).
     """
     n = levels.size
-    if isinstance(h, HamiltonianSpec):
-        return _spec_levels(h, 2 * n)
-    return np.concatenate([levels, h.g(np.arange(n + 1, 2 * n + 1))])
-
-
-def _same_levels(a, b) -> bool:
-    """The same object, or equal growable specs or witnesses."""
-    return a is b or (_can_grow(a) and type(a) is type(b) and a == b)
+    return np.concatenate([levels, h.level(np.arange(n + 1, 2 * n + 1, dtype=float))])
 
 
 def _stable_weights(levels: np.ndarray, beta: float) -> np.ndarray:
@@ -185,13 +173,13 @@ def _adequate_dim(h, e_target: float, dim: int | None) -> tuple[np.ndarray, bool
     """Grow the truncation until the last kept term is negligible at the solution.
 
     Returns the levels and whether they reached DIM_CAP without passing
-    that test (only symbolic Hamiltonians and witnesses grow; a finite
-    spec, a raw array or a given `dim` is never flagged). After five
-    doublings past the beta = 0 phase the levels are returned untested.
+    that test (only infinite level sources grow; a finite source, a raw
+    array or a given `dim` is never flagged). After five doublings past
+    the beta = 0 phase the levels are returned untested.
     """
-    if dim is not None or not _can_grow(h):
-        return _levels_of(h, dim), False
-    levels = _levels_of(h, DIM_FLOOR)
+    levels, growable = _levels_of(h, dim)
+    if not growable:
+        return levels, False
     # cheap phase: make the beta = 0 mean reach the target (or hit the cap)
     while float(levels.mean()) < e_target and levels.size < DIM_CAP:
         levels = _doubled(h, levels)
@@ -210,9 +198,9 @@ def _adequate_dim(h, e_target: float, dim: int | None) -> tuple[np.ndarray, bool
 def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
     """Gibbs solution with mean energy E on a (possibly adaptive) truncation.
 
-    `h` may be a HamiltonianSpec, a witness (g_values, and g for growth),
-    or a raw level array. If E is at or above the truncated-space mean at
-    beta = 0 the constraint is inactive and beta clamps to 0.
+    `h` may be a level source (a HamiltonianSpec or a witness) or a raw
+    level array. If E is at or above the truncated-space mean at beta = 0
+    the constraint is inactive and beta clamps to 0.
     """
     levels, clamped = _adequate_dim(h, E, dim)
     beta = _common_beta([levels], E)
@@ -256,18 +244,22 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
     The entropy maximizer under a joint linear energy constraint is a
     product of Gibbs states sharing one inverse temperature, so a single
     scalar root-find on the summed mean-energy curve suffices. Equal
-    Hamiltonians with equal dims are truncated once and share one level
-    array, whose weights are computed once.
+    level sources with equal dims, and a raw array listed more than once,
+    are truncated once and share one level array, whose weights are
+    computed once.
     """
     if dims is None:
         dims = [None] * len(hams)
     if len(dims) != len(hams):
         raise ValueError("dims must align with hams")
-    grown: list[tuple] = []
+    grown: dict[tuple, tuple[np.ndarray, bool]] = {}
+    levels_list = []
     for h, d in zip(hams, dims):
-        same = next((g for g in grown if g[1] == d and _same_levels(g[0], h)), None)
-        grown.append(same or (h, d, *_adequate_dim(h, E, d)))
-    levels_list = [g[2] for g in grown]
+        # a raw array is keyed by identity: == on arrays compares elementwise
+        key = (h if _is_source(h) else id(h), d)
+        if key not in grown:
+            grown[key] = _adequate_dim(h, E, d)
+        levels_list.append(grown[key][0])
     beta = _common_beta(levels_list, E)
     terms: dict[int, tuple[float, float]] = {}
     for lv in levels_list:
@@ -276,7 +268,7 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
             terms[id(lv)] = (_eta_sum(w), float((w * lv).sum()))
     ents, means = zip(*(terms[id(lv)] for lv in levels_list))
     return MultiGibbsSolution(
-        beta=beta, entropies=ents, means=means, clamped=any(g[3] for g in grown)
+        beta=beta, entropies=ents, means=means, clamped=any(c for _, c in grown.values())
     )
 
 
@@ -349,7 +341,7 @@ class BoundParams:
             raise ValueError("bound coefficients must be nonnegative")
         if self.m < 1 or len(self.hams) != self.m:
             raise ValueError(f"need m >= 1 Hamiltonians, got m={self.m}, {len(self.hams)} hams")
-        grounds = sum(float(_levels_of(h, 1)[0]) for h in self.hams)
+        grounds = sum(float(_levels_of(h, 1)[0][0]) for h in self.hams)
         if self.m * self.E < grounds - 1e-12:
             raise ValueError(
                 f"total energy {self.m * self.E} below summed ground energy {grounds}"

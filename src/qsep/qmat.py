@@ -143,11 +143,6 @@ def eigh(m) -> SpectralDecomp:
     return SpectralDecomp(w[order].copy(), v[:, order].copy())
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (or DensityOps)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def kron_density(a: DensityOp, b: DensityOp) -> DensityOp:
     """Tensor product state with concatenated dimension signature."""
     return DensityOp(DimSig(a.sig.dims + b.sig.dims), np.kron(a.mat, b.mat))

@@ -30,6 +30,7 @@ from .entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
+from .gibbs import _levels_of
 from .qmat import (
     DensityOp,
     DimSig,
@@ -37,7 +38,6 @@ from .qmat import (
     partial_trace,
     trace_distance,
 )
-from .spectra import HamiltonianSpec
 
 # fixed solver constants: alternating sweeps per oracle call, golden-section
 # steps per line search, corrective-pass evaluations per iteration, the weight
@@ -264,7 +264,7 @@ class EnergyConstraint:
             raise ValueError(f"need one local Hamiltonian per subsystem ({sig.nsys})")
         total = np.zeros(sig.total)
         for s, h in enumerate(self.hams):
-            vals = h.values(sig.dims[s]) if isinstance(h, HamiltonianSpec) else np.asarray(h, float)
+            vals = _levels_of(h, sig.dims[s])[0]
             if vals.size != sig.dims[s]:
                 raise ValueError(f"local Hamiltonian {s} has {vals.size} levels, need {sig.dims[s]}")
             before = int(np.prod(sig.dims[:s])) if s else 1

@@ -282,24 +282,29 @@ class SpectrumFamily:
 
     # -- raw (unnormalized) machinery ----------------------------------
 
+    @property
+    def finite_dim(self) -> int | None:
+        """Length of a finite kind (an explicit list, or Gibbs of a finite H), else None."""
+        if self.kind == "explicit":
+            return len(self.values_list)
+        return self.ham.finite_dim if self.kind == "gibbs" else None
+
     def _raw_terms(self, lo: int, hi: int) -> np.ndarray:
-        """Raw terms for indices lo..hi inclusive."""
+        """Raw terms for indices lo..hi inclusive; 0 past a finite kind's length."""
         i = np.arange(lo, hi + 1, dtype=float)
         if self.kind == "geometric":
             return self.q ** (i - 1.0)
-        if self.kind == "explicit":
+        dim = self.finite_dim
+        if dim is not None:
             out = np.zeros_like(i)
-            mask = i <= len(self.values_list)
-            out[mask] = np.asarray(self.values_list)[i[mask].astype(int) - 1]
+            head = i[: max(0, min(hi, dim) - lo + 1)]
+            if self.kind == "explicit":
+                out[: head.size] = np.asarray(self.values_list)[head.astype(int) - 1]
+            else:
+                out[: head.size] = np.exp(-self.beta * self.ham.level(head))
             return out
         if self.kind == "gibbs":
-            dim = self.ham.finite_dim
-            if dim is None:
-                return np.exp(-self.beta * self.ham.level(i))
-            out = np.zeros_like(i)
-            mask = i <= dim
-            out[mask] = np.exp(-self.beta * self.ham.level(i[mask]))
-            return out
+            return np.exp(-self.beta * self.ham.level(i))
         j = np.maximum(i, float(self.i0))
         if self.kind == "powlog":
             return 1.0 / (j * np.log(j) ** self.q)
@@ -318,15 +323,17 @@ class SpectrumFamily:
         return self._cache[key]
 
     def _raw_partial(self, n: int, k: float = 0.0) -> float:
+        """Sum of raw_term(i) ln^k i over i <= n, n clamped at a finite length."""
+        dim = self.finite_dim
+        if dim is not None:
+            n = min(n, dim)
         if n <= 0:
             return 0.0
         if self.kind == "geometric" and k == 0.0:
             return (1.0 - self.q**n) / (1.0 - self.q)
         if self.kind == "explicit":
-            vals = np.asarray(self.values_list)
-            m = min(n, vals.size)
-            w = np.log(np.arange(1, m + 1, dtype=float)) ** k if k else 1.0
-            return float((vals[:m] * w).sum())
+            w = np.log(np.arange(1, n + 1, dtype=float)) ** k if k else 1.0
+            return float((np.asarray(self.values_list[:n]) * w).sum())
         if n <= HEAD_N:
             return float(self._cum(k)[n - 1])
         total = float(self._cum(k)[-1])
@@ -357,9 +364,9 @@ class SpectrumFamily:
     def _raw_tail_integral(self, n, k: float = 0.0) -> float:
         """Sum of raw_term(i) ln^k i over i > n: the remaining terms of a
         finite kind, else a midpoint integral (inf if divergent)."""
-        dim = len(self.values_list) if self.kind == "explicit" else (self.ham.finite_dim if self.ham else None)
+        dim = self.finite_dim
         if dim is not None:
-            return self._raw_partial(dim, k) - self._raw_partial(min(int(n), dim), k)
+            return self._raw_partial(dim, k) - self._raw_partial(int(n), k)
         t0 = math.log(float(n) + 0.5)
         if self.kind == "geometric":
             return self._scalar_tail_sum(n, k, self.q)
@@ -443,7 +450,7 @@ class SpectrumFamily:
 
     def classify_weighted(self, k: float) -> str:
         """Convergence verdict for sum lambda_i ln^k i by integral comparison."""
-        if self.kind == "explicit" or (self.kind == "gibbs" and self.ham.finite_dim is not None):
+        if self.finite_dim is not None:
             return INCONCLUSIVE
         if self.kind == "geometric":
             return CONVERGES
@@ -595,29 +602,34 @@ class FAWitness:
     g_1 = 0, the mean of g under the source spectrum is finite, and the
     partition values [sum_i e^{-beta g_i}]^beta extrapolate toward 1.
     Block boundaries are stored as ln(index) so they may exceed any
-    representable index.
+    representable index. A witness is an infinite Hamiltonian and speaks
+    the level interface of :class:`HamiltonianSpec`: ``level(i)``,
+    ``values(dim)`` and ``finite_dim``.
     """
 
     family: SpectrumFamily
     block_bounds_t: tuple[float, ...]
     energy: float
 
-    def g(self, i) -> np.ndarray:
-        """Witness values, vectorized over indices >= 1."""
+    finite_dim = None
+
+    def level(self, i) -> np.ndarray:
+        """Witness values g_i, vectorized over indices >= 1."""
         i = np.atleast_1d(np.asarray(i, dtype=float))
         if (i < 1).any():
             raise ValueError("witness indices start at 1")
         t = np.log(i)
         return (1.0 + np.searchsorted(np.asarray(self.block_bounds_t), t, side="right")) * t**2
 
-    def g_values(self, dim: int) -> np.ndarray:
-        return self.g(np.arange(1, dim + 1))
+    def values(self, dim: int) -> np.ndarray:
+        """Witness values g(1..dim) as a float array."""
+        return self.level(np.arange(1, dim + 1))
 
     def log_partition_value(self, beta: float) -> float:
         """ln sum_i e^{-beta g_i}: exact head plus per-block Gaussian integrals in ln-space."""
         if beta <= 0:
             raise ValueError("partition value needs beta > 0")
-        log_total = math.log(float(np.exp(-beta * self.g(np.arange(1, WITNESS_HEAD_N + 1))).sum()))
+        log_total = math.log(float(np.exp(-beta * self.values(WITNESS_HEAD_N)).sum()))
         t_lo = math.log(WITNESS_HEAD_N + 0.5)
         bounds = list(self.block_bounds_t) + [math.inf]
         prev = 0.0

@@ -177,7 +177,7 @@ def test_criterion_5_truncation_machinery():
             rho = random_density(dims, rank, seed=3000 + i)
             subset = list(range(len(dims)))
             gops = {
-                s: witness_operator(rho, s, geo_witness.g_values(dims[s])) for s in subset
+                s: witness_operator(rho, s, geo_witness.values(dims[s])) for s in subset
             }
             for r in range(1, min(dims) + 1):
                 plan = make_plan(rho, subset, r)

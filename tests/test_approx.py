@@ -292,7 +292,7 @@ class TestProofInequalities:
         fam = SpectrumFamily.geometric(0.5)
         w = build_fa_witness(fam)
         for rho in sample_states(6):
-            gops = {s: witness_operator(rho, s, w.g_values(rho.sig.dims[s])) for s in range(2)}
+            gops = {s: witness_operator(rho, s, w.values(rho.sig.dims[s])) for s in range(2)}
             plan = make_plan(rho, [0], 1)
             lhs, rhs = energy_growth_check(rho, plan, gops)
             assert lhs <= rhs + 1e-8

@@ -266,6 +266,49 @@ def test_invalid_trunc_dim_names_bound(tmp_path, capsys, trunc_dim):
     assert "'bound'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0], "dim": 0}, "'dim'"),
+        ({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0], "dim": 2.5}, "'dim'"),
+        ({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0], "dim": True}, "'dim'"),
+        ({"command": "er-reg", "state": "fixture:bell", "seed": 0, "k_max": 2.7}, "'k_max'"),
+        (
+            {
+                "command": "approx",
+                "state": "fixture:geomgibbs-pair",
+                "subset": [0, 1],
+                "r_grid": [1],
+                "witness_families": ["geometric:0.5", "geometric:0.5"],
+                "bound": {"trunc_dim": 2.5},
+            },
+            "'trunc_dim' in 'bound'",
+        ),
+    ],
+    ids=["dim-zero", "dim-float", "dim-bool", "k-max-float", "trunc-dim-float"],
+)
+def test_invalid_integer_field_names_it(config, field):
+    with pytest.raises(ConfigError, match=field):
+        run(config)
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [(["depolarizing"], "'depolarizing'"), (["dephasing", 0.1, 0.2], "'dephasing'"), (["identity", 0.5], "'identity'")],
+    ids=["missing-weight", "extra-weight", "identity-with-weight"],
+)
+def test_channel_argument_count_names_channel(spec, name):
+    config = {
+        "command": "approx",
+        "state": "fixture:geomgibbs-pair",
+        "subset": [0, 1],
+        "r_grid": [1],
+        "channels": [spec, "identity"],
+    }
+    with pytest.raises(ValueError, match=name):
+        run(config)
+
+
 def test_record_names_environment(tmp_path):
     run({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0]}, out_dir=tmp_path)
     env = json.loads((tmp_path / "record.json").read_text())["environment"]

@@ -12,7 +12,7 @@ from qsep.entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from qsep.fixtures import bell_state, ghz_mixture
+from qsep.fixtures import bell_state, get_fixture, ghz_mixture
 from qsep.qmat import DensityOp, DimSig, kron_density, partial_trace, random_density
 
 
@@ -144,6 +144,20 @@ class TestConditionalEntropy:
             rho = random_density((2, 3), 6, seed=50 + s)
             direct = von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, [1]))
             assert abs(conditional_entropy(rho, 0) - direct) < 1e-8
+
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_near_singular_inputs_stay_finite(self, part):
+        # the product rho_A x rho_B is nearly singular on both states, and
+        # the value is still the entropy difference, not -inf
+        rho = get_fixture("gibbs-marginal-3x3")
+        m = rho.mat.reshape(3, 3, 3, 3)
+        other = np.einsum("ajak->jk", m) if part == 0 else np.einsum("jaka->jk", m)
+        oracle = _eta_sum(np.linalg.eigvalsh(rho.mat)) - _eta_sum(np.linalg.eigvalsh(other))
+        assert abs(conditional_entropy(rho, part) - oracle) < 1e-10
+        assert abs(conditional_entropy(rho, part) + 0.0045042) < 1e-7
+        eps = 1e-5
+        assert abs(conditional_entropy(dop((2, 2), np.diag([1 - eps, 0.0, 0.0, eps])), part)) < 1e-12
 
 
 class TestMutualInformation:

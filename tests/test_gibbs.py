@@ -167,7 +167,19 @@ class TestTruncationGrowth:
         w = build_fa_witness(parse_family("geometric:0.02"))
         out, clamped = _adequate_dim(w, energy, None)
         assert out.size == size
-        assert np.array_equal(out, w.g_values(out.size))
+        assert np.array_equal(out, w.values(out.size))
+        assert clamped == (size == DIM_CAP)
+
+    # a symbolic Hamiltonian grows by its new half like a witness
+    @pytest.mark.parametrize(
+        "ham, energy, size",
+        [(HamiltonianSpec.logpow(4, 2), 100.0, 16384), (HamiltonianSpec.logpow(4, 2), 1000.0, DIM_CAP), (LINEAR, 1000.0, 32768)],
+        ids=["logpow", "logpow-to-cap", "linear"],
+    )
+    def test_spec_doubling_matches_direct_levels(self, ham, energy, size):
+        out, clamped = _adequate_dim(ham, energy, None)
+        assert out.size == size
+        assert np.array_equal(out, ham.values(out.size))
         assert clamped == (size == DIM_CAP)
 
     def test_equal_witnesses_grow_once(self, monkeypatch):
@@ -175,8 +187,8 @@ class TestTruncationGrowth:
         w_copy = build_fa_witness(parse_family("geometric:0.02"))
         assert w_copy == w and w_copy is not w
         seen = []
-        g = FAWitness.g
-        monkeypatch.setattr(FAWitness, "g", lambda self, i: seen.append(id(self)) or g(self, i))
+        level = FAWitness.level
+        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(id(self)) or level(self, i))
         both = max_entropy_multi([w, w_copy], 200.0)
         assert set(seen) == {id(w)}
         assert abs(both - 2 * max_entropy(w, 100.0)) < 1e-8
@@ -226,6 +238,16 @@ class TestMaxEntropyMulti:
     def test_infeasible(self):
         with pytest.raises(ValueError, match="infeasible"):
             max_entropy_multi([QUBIT, QUBIT], -0.5)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["array-first", "spec-first"])
+    def test_raw_array_beside_equal_spec(self, order):
+        # a raw array is never compared with == against a level source; the
+        # two truncations stay separate and beta is the one pinned before
+        # witnesses spoke the Hamiltonian level interface
+        hams = [np.array([0.0, 1.0]), HamiltonianSpec.explicit([0, 1])][::order]
+        sol = solve_beta_multi(hams, 0.6)
+        assert sol.beta == float.fromhex("0x1.b1d106709d7ecp-1")
+        assert abs(sol.beta - math.log(7.0 / 3.0)) < 1e-9
 
 
 class TestAsymptoticTrends:

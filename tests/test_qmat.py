@@ -5,7 +5,6 @@ from qsep.qmat import (
     DensityOp,
     DimSig,
     eigh,
-    kron,
     kron_density,
     matrix_from_json,
     matrix_to_json,
@@ -51,13 +50,6 @@ def manual_partial_trace(mat, dims, keep):
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
     def test_trace_multiplicative(self):
         rho = random_density((2,), 2, seed=1)
         sig = random_density((3,), 3, seed=2)

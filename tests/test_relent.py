@@ -700,6 +700,14 @@ class TestInequalityVerifier:
         lows = [r["lower"] for r in report["rows"] if r["check"] == "neg-conditional-lower"]
         assert abs(max(lows) - math.log(2)) < 1e-9
 
+    def test_lb1_near_singular_marginal_product(self):
+        # rho_A x rho_B has eigenvalues down to 1.6e-11 on this fixture; the
+        # lower bound is -S(A|B) = 0.0045042, not +inf
+        report = verify_er_inequalities(lb1_samples=[gibbs_marginal_pair()], opts=FAST)
+        assert report["ok"], report["violations"]
+        lows = [r["lower"] for r in report["rows"]]
+        assert all(abs(low - 0.0045042405) < 1e-9 for low in lows) and len(lows) == 2
+
     def test_mixed_bag(self):
         report = verify_er_inequalities(
             er_ub_samples=[random_density((3, 3), 9, seed=41)],

@@ -144,6 +144,16 @@ class TestTails:
         fam = SpectrumFamily.gibbs_of(HamiltonianSpec.explicit(np.zeros(60_000)), 1.0)
         assert fam.tail_weight(55_000) == pytest.approx(1.0 / 12.0, rel=1e-12)
 
+    def test_finite_gibbs_partial_clamps_at_length(self, monkeypatch):
+        fam = SpectrumFamily.gibbs_of(HamiltonianSpec.explicit([0, 1]), 1.0)
+        assert fam.finite_dim == 2
+        spans = []
+        raw_terms = SpectrumFamily._raw_terms
+        monkeypatch.setattr(SpectrumFamily, "_raw_terms", lambda self, lo, hi: spans.append(hi) or raw_terms(self, lo, hi))
+        assert fam.partial_weight(2 * 10**7) == fam.partial_weight(2)
+        assert max(spans) <= HEAD_N  # no zeros summed past the last level
+        assert fam.classify_weighted(2.0) == INCONCLUSIVE
+
     def test_gibbs_tail_weight_matches_weighted_tail(self):
         fam = SpectrumFamily.gibbs_of(HamiltonianSpec.logpow(4, 2), 0.5)
         assert fam.weighted_tail_from(0.0, 3) == fam.tail_weight(3)
@@ -194,13 +204,13 @@ class TestWitness:
     def test_geometric_witness(self):
         fam = SpectrumFamily.geometric(0.5)
         w = build_fa_witness(fam)
-        assert w.g(np.array([1]))[0] == 0.0
+        assert w.level(np.array([1]))[0] == 0.0
         assert math.isfinite(w.energy)
-        g = w.g(np.arange(1, 50))
+        g = w.level(np.arange(1, 50))
         assert (np.diff(g) >= -1e-12).all()
         # energy telescoping agrees with the direct sum (tail is negligible here)
         idx = np.arange(1, 200_001)
-        direct = float((fam.lam(idx) * w.g(idx)).sum())
+        direct = float((fam.lam(idx) * w.level(idx)).sum())
         assert abs(direct - w.energy) < 1e-9
 
     def test_powlog4_witness_energy_bounded(self):
@@ -209,7 +219,7 @@ class TestWitness:
         assert math.isfinite(w.energy)
         # the direct partial sum is monotone in N and stays below the reported total
         idx = np.arange(1, 200_001)
-        direct = float((fam.lam(idx) * w.g(idx)).sum())
+        direct = float((fam.lam(idx) * w.level(idx)).sum())
         assert 0 < direct <= w.energy + 1e-9
 
     @pytest.mark.parametrize(
