@@ -19,8 +19,10 @@ import numpy as np
 from .entropy import mutual_information
 from .gibbs import BoundParams, BoundValue, fcb_bound
 from .qmat import (
+    HERM_TOL,
     DensityOp,
     eigh,
+    herm_residual,
     hermitian_part,
     partial_trace,
     top_projector,
@@ -64,23 +66,84 @@ def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], d
     return subset, {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
 
 
+# A subsystem that keeps more than this share of its dimension applies its
+# projector directly: shrinking it would save less than the passes that
+# expand it back cost.
+ISOMETRY_SHARE = 0.75
+
+
+def _isometry(p, s: int, d: int) -> np.ndarray:
+    """Orthonormal columns V with V V^dagger = p, from eigh.
+
+    Raises ValueError naming subsystem s unless p is a d x d orthogonal
+    projector: Hermitian, with every eigenvalue 0 or 1 (both to HERM_TOL).
+    """
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (d, d):
+        raise ValueError(f"projector on subsystem {s} has shape {p.shape}, expected {(d, d)}")
+    res = herm_residual(p)
+    w, v = np.linalg.eigh(p)
+    spread = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
+    if res > HERM_TOL or spread > HERM_TOL:
+        raise ValueError(
+            f"projector on subsystem {s} is not an orthogonal projector: "
+            f"Hermiticity residual {res:.3e}, eigenvalues {spread:.3e} away from 0 or 1"
+        )
+    return v[:, w > 0.5]
+
+
+def _rows(x: np.ndarray, factors: list, dims) -> np.ndarray:
+    """Left-multiply x, whose rows are indexed by subsystems of `dims`, by
+    one factor per subsystem (None is the identity), one matmul each."""
+    a = 1
+    for f, d in zip(factors, dims):
+        if f is not None:
+            x = np.matmul(f, x.reshape(a, d, -1))
+            d = f.shape[0]
+        a *= d
+    return x.reshape(a, -1)
+
+
+def _conj_t(x: np.ndarray) -> np.ndarray:
+    return np.conjugate(x.T, out=np.empty(x.shape[::-1], dtype=x.dtype))
+
+
 def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
     """Normalized compression Q rho Q / c with its weight c = Tr Q rho.
 
     Q is the product of the per-subsystem `projectors` (identity on the
-    other subsystems), applied one subsystem at a time as the local map
-    X -> P X P. The state is None when c is at most ANNIHILATION_TOL.
+    other subsystems); each must be an orthogonal projector, or ValueError
+    names its subsystem. Each projector is factored as V V^dagger, and rho
+    is reduced to the kept core W^dagger rho W, W the product of the V,
+    with left multiplications only: rows, a conjugate transpose, rows.
+    The core is expanded back the same way. A subsystem that keeps more
+    than ISOMETRY_SHARE of its dimension applies its projector in the
+    reduction and is not expanded. c is the trace of the expanded matrix,
+    which is then divided by c and symmetrized once. The state is None when
+    c is at most ANNIHILATION_TOL.
 
     The state is not repaired: rounding in Q rho Q is divided by c, so at c
     barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
     remain, still above qmat.EIG_FLOOR; from c of about 4e-10 on, none do.
     """
-    maps = [_sandwich(projectors[s]) if s in projectors else None for s in range(rho.sig.nsys)]
-    mat = _apply_local_maps(rho, maps)
+    dims = rho.sig.dims
+    reduce, expand = [None] * len(dims), [None] * len(dims)
+    for s, d in enumerate(dims):
+        if s in projectors:
+            v = _isometry(projectors[s], s, d)
+            if v.shape[1] <= ISOMETRY_SHARE * d:
+                reduce[s], expand[s] = v.conj().T, v
+            else:
+                reduce[s] = np.asarray(projectors[s], dtype=complex)
+    kept = [d if v is None else v.shape[1] for d, v in zip(dims, expand)]
+    mat = _rows(_conj_t(_rows(rho.mat, reduce, dims)), reduce, dims)
+    if any(v is not None for v in expand):
+        mat = _rows(_conj_t(_rows(mat, expand, kept)), expand, kept)
     c = float(np.real(np.trace(mat)))
     if c <= ANNIHILATION_TOL:
         return None, c
-    return DensityOp(rho.sig, hermitian_part(mat / c)), c
+    mat /= c
+    return DensityOp(rho.sig, hermitian_part(mat)), c
 
 
 def _require_state(out: DensityOp | None) -> DensityOp:
@@ -169,7 +232,11 @@ def _sandwich(p: np.ndarray):
 
 
 def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
-    """P . P plus rerouting the complementary weight to the pure state tau."""
+    """P . P plus rerouting the complementary weight to the pure state tau.
+
+    Unlike the other channels, its output is Hermitian only up to rounding,
+    so it symmetrizes its own output.
+    """
     kept = _sandwich(p)
     comp = np.eye(p.shape[0], dtype=complex) - p
     tau = np.outer(tau_vec, tau_vec.conj())
@@ -178,7 +245,8 @@ def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
         lost = np.einsum("ij,xjyuiv->xyuv", comp, t)
         out = kept(t).reshape(t.shape)
         out += tau[None, :, None, None, :, None] * lost[:, None, :, :, None, :]
-        return out
+        n = math.prod(t.shape[:3])
+        return hermitian_part(out.reshape(n, n))
 
     return apply_local
 
@@ -206,8 +274,13 @@ def _apply_local_maps(rho: DensityOp, maps: list) -> np.ndarray:
 
 
 def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
-    """Apply one local channel per subsystem (None entries mean identity)."""
-    return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, channels)))
+    """Apply one local channel per subsystem (None entries mean identity).
+
+    The output is not symmetrized again: depolarizing and dephasing keep an
+    exactly Hermitian input exactly Hermitian in value, and
+    channel_project_or_reroute symmetrizes its own output.
+    """
+    return DensityOp(rho.sig, _apply_local_maps(rho, channels))
 
 
 def make_channel_product(specs: list):
@@ -395,6 +468,10 @@ def truncation_experiment(
     per witness; a list of another length, a repeated subsystem or one out
     of range raises ValueError. A row's `clamped` is True when its Y_r
     rests on a ceiling cut at gibbs.DIM_CAP, so Y_r is not a valid bound.
+
+    Every dense row is computed first, one compressed state at a time, and
+    the envelope after, on one BoundParams, so the witness levels are
+    grown once for all ranks.
     """
     params = None
     if witnesses is not None:
@@ -420,22 +497,26 @@ def truncation_experiment(
     rows = []
     for r in r_grid:
         out, plan = truncation_map(rho, subset, int(r))
-        eps = tail_parameter(plan.marginal_tail(rho))
         f_trunc = f(out)
-        y = None if params is None else _envelope_value(params, eps)
         rows.append(
             {
                 "r": int(r),
                 "c_r": plan.c_r,
-                "eps_r": eps,
+                "eps_r": tail_parameter(plan.marginal_tail(rho)),
                 "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - plan.c_r)),
-                "Y_r": None if y is None else float(y),
-                "clamped": y is not None and y.clamped,
+                "Y_r": None,
+                "clamped": False,
                 "f_exact": f_exact,
                 "f_trunc": f_trunc,
                 "diff": abs(f_trunc - f_exact),
             }
         )
+    # the envelope's grown witness levels never coexist with a dense state
+    out = None
+    for row in rows:
+        y = None if params is None else _envelope_value(params, row["eps_r"])
+        row["Y_r"] = None if y is None else float(y)
+        row["clamped"] = y is not None and y.clamped
     return ApproxReport(rows=rows)
 
 

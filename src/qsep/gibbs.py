@@ -29,16 +29,17 @@ def _is_source(h) -> bool:
     return hasattr(h, "level")
 
 
-def _levels_of(h, dim: int | None) -> tuple[np.ndarray, bool]:
+def _levels_of(h, dim: int | None, memo: dict | None = None) -> tuple[np.ndarray, bool]:
     """Levels 1..dim of h, and whether they may grow.
 
     A level source yields values(dim); without a dim it yields its whole
     finite length, or DIM_FLOOR levels that may grow by doubling when it
-    is infinite. A raw level array is taken whole.
+    is infinite (taken from `memo` as in _grown). A raw level array is
+    taken whole.
     """
     if _is_source(h):
         if dim is None and h.finite_dim is None:
-            return h.values(DIM_FLOOR), True
+            return _grown(h, DIM_FLOOR, {} if memo is None else memo), True
         return h.values(dim if dim is not None else h.finite_dim), False
     arr = np.asarray(h, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -46,14 +47,19 @@ def _levels_of(h, dim: int | None) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _doubled(h, levels: np.ndarray) -> np.ndarray:
-    """Levels 1..2n of a growable level source from its levels 1..n.
+def _grown(h, n: int, memo: dict) -> np.ndarray:
+    """Levels 1..n of a growable level source.
 
-    Only the new half is evaluated; levels are elementwise, so the result
-    is bit-identical to values(2n).
+    `memo` maps each source to the longest levels evaluated so far; only
+    the indices it lacks are evaluated, and it keeps the result. Levels
+    are elementwise, so the result is bit-identical to values(n).
     """
-    n = levels.size
-    return np.concatenate([levels, h.level(np.arange(n + 1, 2 * n + 1, dtype=float))])
+    have = memo.get(h)
+    if have is None or have.size < n:
+        start = 0 if have is None else have.size
+        new = h.level(np.arange(start + 1, n + 1, dtype=float))
+        have = memo[h] = new if have is None else np.concatenate([have, new])
+    return have[:n]
 
 
 def _stable_weights(levels: np.ndarray, beta: float) -> np.ndarray:
@@ -169,20 +175,23 @@ def _tail_negligible(levels: np.ndarray, beta: float) -> bool:
     return math.exp(-beta * (levels[-1] - levels[0])) < TERM_CRIT * z_partial
 
 
-def _adequate_dim(h, e_target: float, dim: int | None) -> tuple[np.ndarray, bool]:
+def _adequate_dim(h, e_target: float, dim: int | None, memo: dict | None = None) -> tuple[np.ndarray, bool]:
     """Grow the truncation until the last kept term is negligible at the solution.
 
     Returns the levels and whether they reached DIM_CAP without passing
     that test (only infinite level sources grow; a finite source, a raw
     array or a given `dim` is never flagged). After five doublings past
-    the beta = 0 phase the levels are returned untested.
+    the beta = 0 phase the levels are returned untested. A doubling takes
+    the levels from `memo` (source -> longest levels so far), and
+    evaluates only those it lacks.
     """
-    levels, growable = _levels_of(h, dim)
+    memo = {} if memo is None else memo
+    levels, growable = _levels_of(h, dim, memo)
     if not growable:
         return levels, False
     # cheap phase: make the beta = 0 mean reach the target (or hit the cap)
     while float(levels.mean()) < e_target and levels.size < DIM_CAP:
-        levels = _doubled(h, levels)
+        levels = _grown(h, 2 * levels.size, memo)
     for _ in range(5):
         beta = _common_beta([levels], min(e_target, float(levels.mean())))
         at_cap = levels.size >= DIM_CAP
@@ -191,7 +200,7 @@ def _adequate_dim(h, e_target: float, dim: int | None) -> tuple[np.ndarray, bool
         adequate = beta > 0.0 and _tail_negligible(levels, beta)
         if adequate or at_cap:
             return levels, not adequate
-        levels = _doubled(h, levels)
+        levels = _grown(h, 2 * levels.size, memo)
     return levels, levels.size >= DIM_CAP
 
 
@@ -248,6 +257,11 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
     are truncated once and share one level array, whose weights are
     computed once.
     """
+    return _solve_beta_multi(hams, E, dims, {})
+
+
+def _solve_beta_multi(hams: list, E: float, dims: list[int] | None, memo: dict) -> MultiGibbsSolution:
+    """solve_beta_multi, growing levels through `memo` (see _grown)."""
     if dims is None:
         dims = [None] * len(hams)
     if len(dims) != len(hams):
@@ -258,7 +272,7 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
         # a raw array is keyed by identity: == on arrays compares elementwise
         key = (h if _is_source(h) else id(h), d)
         if key not in grown:
-            grown[key] = _adequate_dim(h, E, d)
+            grown[key] = _adequate_dim(h, E, d, memo)
         levels_list.append(grown[key][0])
     beta = _common_beta(levels_list, E)
     terms: dict[int, tuple[float, float]] = {}
@@ -327,7 +341,12 @@ def squared_hamiltonian_check(h, e_grid, dim: int | None = None) -> list[dict]:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs of the common continuity bound: coefficients, arity, energy, Hamiltonians."""
+    """Inputs of the common continuity bound: coefficients, arity, energy, Hamiltonians.
+
+    The object also keeps the witness levels that fcb_bound grows, so a
+    sequence of bounds on one BoundParams evaluates each level once; the
+    values equal those of fresh params bit for bit.
+    """
 
     C: float
     D: float
@@ -335,6 +354,9 @@ class BoundParams:
     E: float
     hams: tuple
     trunc_dim: int | None = None
+    # levels grown for fcb_bound, per source (see _grown); they live as long
+    # as this object, so every bound on it grows each witness level once
+    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.C < 0 or self.D < 0:
@@ -365,6 +387,8 @@ def fcb_bound(p: BoundParams, eps: float) -> BoundValue:
     """Continuity-bound value C sqrt(e(2-e)) F[2mE/(e(2-e))] + D g(sqrt(e(2-e))).
 
     Defined as 0 at eps = 0 (the faithfulness limit); errors outside [0, 1].
+    The ceiling F grows its truncations through the levels kept on `p`, so
+    repeated calls on one BoundParams evaluate each level once.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -377,7 +401,7 @@ def fcb_bound(p: BoundParams, eps: float) -> BoundValue:
     if p.C > 0:
         arg = 2.0 * p.m * p.E / x
         dims = None if p.trunc_dim is None else [p.trunc_dim] * p.m
-        ceiling = solve_beta_multi(list(p.hams), arg, dims)
+        ceiling = _solve_beta_multi(list(p.hams), arg, dims, p._levels)
         term = p.C * rx * ceiling.entropy
         clamped = ceiling.clamped
     return BoundValue(term + p.D * g_entropy(rx), clamped)

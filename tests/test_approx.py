@@ -5,10 +5,12 @@ import pytest
 
 from qsep.approx import (
     BoundTemplate,
+    TruncationPlan,
     apply_local_channels,
     apply_plan,
     channel_depolarizing,
     channel_dephasing,
+    channel_project_or_reroute,
     compress,
     envelope_from_families,
     energy_growth_check,
@@ -25,6 +27,7 @@ from qsep.approx import (
 from qsep.entropy import _eta_sum, mutual_information
 from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, ghz_state
 from qsep.qmat import DensityOp, DimSig, eigh, partial_trace, product_operator, random_density, top_projector
+from qsep.relent import truncation_limit_experiment
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
 
 
@@ -107,6 +110,52 @@ class TestTruncationMap:
         once, plan_once = truncation_map(rho, list(range(len(dims))), 1)
         assert np.array_equal(once.mat, got.mat)
         assert plan_once.c_r == plan.c_r
+
+    # D = 300 is above one hermitian_part tile; rank 1 compresses through the
+    # isometry, rank d - 1 through the projector itself on the d = 10
+    # subsystems and through the isometry on the d = 3 one
+    @pytest.mark.parametrize("subset", [(0, 2), (0, 1, 2)])
+    @pytest.mark.parametrize("rank", ["one", "d-1"])
+    def test_compression_above_one_tile_matches_dense_product(self, subset, rank):
+        dims = (10, 10, 3)
+        rng = np.random.default_rng([len(subset), len(rank)])
+        rho = random_density(dims, 300, seed=int(rng.integers(1 << 30)))
+        projs = {}
+        for s in subset:
+            d = dims[s]
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            v = np.linalg.qr(g)[0][:, : 1 if rank == "one" else d - 1]
+            projs[s] = v @ v.conj().T
+        q = product_operator(projs, rho.sig)
+        dense = q @ rho.mat @ q
+        out, c = compress(rho, projs)
+        assert abs(c - np.trace(dense).real) < 1e-12
+        assert np.abs(out.mat - dense / np.trace(dense).real).max() < 1e-12
+        assert np.array_equal(out.mat, out.mat.conj().T)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.diag([1.0, 0.5, 0.0]), "residual 0.000e\\+00, eigenvalues 5.000e-01 away"),  # Hermitian, not idempotent
+            (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "residual 5.000e-01, eigenvalues 0.000e\\+00 away"),  # idempotent, oblique
+        ],
+        ids=["non-idempotent", "non-hermitian"],
+    )
+    def test_non_projector_rejected_naming_subsystem(self, bad, match):
+        rho = random_density((2, 3), 6, seed=23)
+        good = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match=f"subsystem 1 is not an orthogonal projector: .*{match}"):
+            compress(rho, {0: good, 1: bad})
+        plan = TruncationPlan(subset=(0, 1), r=1, projectors={0: good, 1: bad}, c_r=1.0)
+        with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
+            apply_plan(rho, plan)
+        with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
+            truncation_limit_experiment(rho, [{1: bad}])
+
+    def test_projector_of_wrong_shape_rejected(self):
+        rho = random_density((2, 3), 6, seed=24)
+        with pytest.raises(ValueError, match=r"subsystem 1 has shape \(2, 2\), expected \(3, 3\)"):
+            compress(rho, {1: np.diag([1.0, 0.0])})
 
     def test_plan_applied_to_another_state(self):
         rho = random_density((2, 3), 6, seed=21)
@@ -214,6 +263,21 @@ class TestLocalChannels:
             kraus = [proj] + [np.outer(tau, e) @ (np.eye(d) - proj) for e in np.eye(d)]
             got = truncation_channels(rho, [s], 1)
             assert np.abs(got.mat - local_kraus_oracle(rho, s, kraus)).max() < 1e-14
+
+    # only channel_project_or_reroute symmetrizes its output; depolarizing
+    # and dephasing must keep an exactly Hermitian input exactly Hermitian
+    @pytest.mark.parametrize("dims", LOCAL_DIMS + [(4, 40)])
+    def test_exactly_hermitian_input_stays_exactly_hermitian(self, dims):
+        rho = random_density(dims, int(np.prod(dims)), seed=51 + dims[-1])
+        assert np.array_equal(rho.mat, rho.mat.conj().T)
+        for s, d in enumerate(dims):
+            marg = partial_trace(rho, [s])
+            reroute = channel_project_or_reroute(top_projector(marg, 1), eigh(marg.mat).eigenvectors[:, 0])
+            for chan in (channel_depolarizing(0.3), channel_dephasing(0.3), reroute):
+                maps = [None] * len(dims)
+                maps[s] = chan
+                out = apply_local_channels(rho, maps).mat
+                assert np.array_equal(out, out.conj().T)
 
     def test_depolarizing_trace_and_fixed_point(self):
         rho = random_density((2, 3), 5, seed=5)

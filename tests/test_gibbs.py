@@ -328,6 +328,30 @@ class TestContinuityBound:
         with pytest.raises(ValueError):
             BoundParams(C=-1.0, D=1.0, m=1, E=1.0, hams=(QUBIT,))
 
+    def test_shared_params_grow_each_level_once(self, monkeypatch):
+        # the README approx envelope: two equal geometric:0.02 witnesses and
+        # eps_r = sqrt(3 * 0.02^r), whose ceilings reach DIM_CAP at r = 7..9
+        w = build_fa_witness(parse_family("geometric:0.02"))
+        w_copy = build_fa_witness(parse_family("geometric:0.02"))
+        eps = [math.sqrt(3 * 0.02**r) for r in range(1, 10)]
+
+        def params():
+            return BoundParams(C=2.0, D=3.0, m=2, E=2 * w.energy, hams=(w, w_copy))
+
+        fresh = [fcb_bound(params(), e) for e in eps]
+        shared = params()
+        seen = []
+        level = FAWitness.level
+        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(np.array(i)) or level(self, i))
+        values = [fcb_bound(shared, e) for e in eps]
+        assert [v.hex() for v in values] == [v.hex() for v in fresh]
+        assert [v.clamped for v in values] == [v.clamped for v in fresh] == [False] * 6 + [True] * 3
+        indices = np.sort(np.concatenate(seen))
+        assert np.array_equal(indices, np.arange(1, DIM_CAP + 1))
+        # a params object compares and hashes on its fields alone
+        assert shared == params() and hash(shared) == hash(params())
+        assert "_levels" not in repr(shared)
+
 
 class TestSandwichChecks:
     def _samples(self, count=15):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from qsep.qmat import (
+    HERM_TOL,
     DensityOp,
     DimSig,
     eigh,
+    herm_residual,
+    hermitian_part,
     kron_density,
     matrix_from_json,
     matrix_to_json,
@@ -190,6 +193,62 @@ class TestRandomStates:
     def test_full_rank_positive(self):
         rho = random_density((2, 2), 4, seed=13)
         assert np.linalg.eigvalsh(rho.mat).min() > 0
+
+
+def plain_hermitian_part(m):
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+class TestHermitianPart:
+    # sizes at, below and above one tile, several tiles and a ragged edge;
+    # signed zeros make the bytes of the halving depend on the operand order
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 256, 1000])
+    def test_bytes_equal_plain_expression(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[0, 0] = complex(-0.0, 0.0)
+        m[n // 2, n - 1] = complex(-0.0, -0.0)
+        m[n - 1, n // 2] = complex(-0.0, 0.0)
+        # a complex matrix with real values has +0 imaginary parts, whose
+        # conjugates are -0
+        for mat in (m, m.real + 0j):
+            out = hermitian_part(mat)
+            want = plain_hermitian_part(mat)
+            assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_stack_and_real_matrix(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((3, 200, 200)) + 1j * rng.standard_normal((3, 200, 200))
+        assert hermitian_part(stack).tobytes() == plain_hermitian_part(stack).tobytes()
+        real = rng.standard_normal((300, 300))
+        out = hermitian_part(real)
+        assert out.dtype == np.float64 and out.tobytes() == plain_hermitian_part(real).tobytes()
+
+
+def traceless_skew(n, c):
+    """i c diag(1, -1, 1, ...): anti-Hermitian with operator norm c and Frobenius norm c sqrt(n)."""
+    return 1j * c * np.diag([(-1.0) ** k for k in range(n)])
+
+
+class TestHermiticityCheck:
+    # the Frobenius test decides alone only when it accepts; the residual in
+    # a rejection is still the operator norm
+    def test_frobenius_above_tolerance_operator_norm_below_accepted(self):
+        m = np.eye(16) / 16 + traceless_skew(16, 0.5 * HERM_TOL)
+        assert np.linalg.norm(m - m.conj().T) / 2 > HERM_TOL >= herm_residual(m)
+        DensityOp.create((4, 4), m)
+        eigh(m)
+
+    def test_operator_norm_above_tolerance_rejected_with_unchanged_message(self):
+        m = np.eye(16) / 16 + traceless_skew(16, 2 * HERM_TOL)
+        res = herm_residual(m)
+        assert res > HERM_TOL
+        with pytest.raises(ValueError) as err:
+            DensityOp.create((4, 4), m)
+        assert str(err.value) == f"state rejected: Hermiticity residual {res:.3e} exceeds {HERM_TOL}"
+        with pytest.raises(ValueError) as err:
+            eigh(m)
+        assert str(err.value) == f"eigh requires a Hermitian input: residual {res:.3e}"
 
 
 class TestValidationAndJson:
