@@ -66,12 +66,6 @@ def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], d
     return subset, {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
 
 
-# A subsystem that keeps more than this share of its dimension applies its
-# projector directly: shrinking it would save less than the passes that
-# expand it back cost.
-ISOMETRY_SHARE = 0.75
-
-
 def _isometry(p, s: int, d: int) -> np.ndarray:
     """Orthonormal columns V with V V^dagger = p, from eigh.
 
@@ -116,29 +110,26 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     names its subsystem. Each projector is factored as V V^dagger, and rho
     is reduced to the kept core W^dagger rho W, W the product of the V,
     with left multiplications only: rows, a conjugate transpose, rows.
-    The core is expanded back the same way. A subsystem that keeps more
-    than ISOMETRY_SHARE of its dimension applies its projector in the
-    reduction and is not expanded. c is the trace of the expanded matrix,
-    which is then divided by c and symmetrized once. The state is None when
-    c is at most ANNIHILATION_TOL.
+    The core is expanded back the same way. c is the trace of the expanded
+    matrix, which is then divided by c and symmetrized once. The state is
+    None when c is at most ANNIHILATION_TOL, and (None, 0.0) is returned at
+    once when a projector is zero.
 
     The state is not repaired: rounding in Q rho Q is divided by c, so at c
     barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
     remain, still above qmat.EIG_FLOOR; from c of about 4e-10 on, none do.
     """
     dims = rho.sig.dims
-    reduce, expand = [None] * len(dims), [None] * len(dims)
+    vs = [None] * len(dims)
     for s, d in enumerate(dims):
         if s in projectors:
-            v = _isometry(projectors[s], s, d)
-            if v.shape[1] <= ISOMETRY_SHARE * d:
-                reduce[s], expand[s] = v.conj().T, v
-            else:
-                reduce[s] = np.asarray(projectors[s], dtype=complex)
-    kept = [d if v is None else v.shape[1] for d, v in zip(dims, expand)]
-    mat = _rows(_conj_t(_rows(rho.mat, reduce, dims)), reduce, dims)
-    if any(v is not None for v in expand):
-        mat = _rows(_conj_t(_rows(mat, expand, kept)), expand, kept)
+            vs[s] = _isometry(projectors[s], s, d)
+            if vs[s].shape[1] == 0:
+                return None, 0.0
+    vh = [None if v is None else v.conj().T for v in vs]
+    kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
+    mat = _rows(_conj_t(_rows(rho.mat, vh, dims)), vh, dims)
+    mat = _rows(_conj_t(_rows(mat, vs, kept)), vs, kept)
     c = float(np.real(np.trace(mat)))
     if c <= ANNIHILATION_TOL:
         return None, c
@@ -234,8 +225,8 @@ def _sandwich(p: np.ndarray):
 def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
     """P . P plus rerouting the complementary weight to the pure state tau.
 
-    Unlike the other channels, its output is Hermitian only up to rounding,
-    so it symmetrizes its own output.
+    Unlike the other channels, its output is Hermitian only up to rounding;
+    truncation_channels symmetrizes once after all of them.
     """
     kept = _sandwich(p)
     comp = np.eye(p.shape[0], dtype=complex) - p
@@ -245,8 +236,7 @@ def channel_project_or_reroute(p: np.ndarray, tau_vec: np.ndarray):
         lost = np.einsum("ij,xjyuiv->xyuv", comp, t)
         out = kept(t).reshape(t.shape)
         out += tau[None, :, None, None, :, None] * lost[:, None, :, :, None, :]
-        n = math.prod(t.shape[:3])
-        return hermitian_part(out.reshape(n, n))
+        return out
 
     return apply_local
 
@@ -276,9 +266,12 @@ def _apply_local_maps(rho: DensityOp, maps: list) -> np.ndarray:
 def apply_local_channels(rho: DensityOp, channels: list) -> DensityOp:
     """Apply one local channel per subsystem (None entries mean identity).
 
-    The output is not symmetrized again: depolarizing and dephasing keep an
-    exactly Hermitian input exactly Hermitian in value, and
-    channel_project_or_reroute symmetrizes its own output.
+    The output is not symmetrized: depolarizing and dephasing keep an
+    exactly Hermitian rho.mat exactly Hermitian in value, and rho.mat is
+    exactly Hermitian for every state that DensityOp.create validates and
+    every state the library builds. channel_project_or_reroute is Hermitian
+    only up to rounding; truncation_channels symmetrizes its output. With
+    every channel None the output shares rho's read-only matrix.
     """
     return DensityOp(rho.sig, _apply_local_maps(rho, channels))
 
@@ -314,7 +307,7 @@ def truncation_channels(rho: DensityOp, subset, r: int) -> DensityOp:
         marg = partial_trace(rho, [s])
         tau_vec = eigh(marg.mat).eigenvectors[:, 0]
         chans[s] = channel_project_or_reroute(projs[s], tau_vec)
-    return apply_local_channels(rho, chans)
+    return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, chans)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +504,8 @@ def truncation_experiment(
                 "diff": abs(f_trunc - f_exact),
             }
         )
-    # the envelope's grown witness levels never coexist with a dense state
+    # drop the last compressed state before the envelope grows witness
+    # levels (peak RSS)
     out = None
     for row in rows:
         y = None if params is None else _envelope_value(params, row["eps_r"])

@@ -102,7 +102,12 @@ class DensityOp:
 
     @staticmethod
     def create(sig: DimSig | list[int] | tuple[int, ...], mat, validate: bool = True) -> "DensityOp":
-        """Build a DensityOp, optionally checking the state invariants."""
+        """Build a DensityOp, optionally checking the state invariants.
+
+        A validated state stores the Hermitian part of `mat`, so its matrix
+        is exactly Hermitian (and equal to `mat` in value when `mat` already
+        is); with validate=False the matrix is stored as given.
+        """
         if not isinstance(sig, DimSig):
             sig = DimSig(tuple(sig))
         m = np.asarray(mat, dtype=complex)
@@ -113,7 +118,8 @@ class DensityOp:
             tr = complex(np.trace(m))
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"state rejected: trace {tr:.12g} deviates from 1 beyond {TRACE_TOL}")
-            wmin = float(np.linalg.eigvalsh(hermitian_part(m)).min())
+            m = hermitian_part(m)
+            wmin = float(np.linalg.eigvalsh(m).min())
             if wmin < EIG_FLOOR:
                 raise ValueError(f"state rejected: minimal eigenvalue {wmin:.3e} below {EIG_FLOOR}")
         return DensityOp(sig, m)

@@ -10,7 +10,6 @@ from qsep.approx import (
     apply_plan,
     channel_depolarizing,
     channel_dephasing,
-    channel_project_or_reroute,
     compress,
     envelope_from_families,
     energy_growth_check,
@@ -111,9 +110,7 @@ class TestTruncationMap:
         assert np.array_equal(once.mat, got.mat)
         assert plan_once.c_r == plan.c_r
 
-    # D = 300 is above one hermitian_part tile; rank 1 compresses through the
-    # isometry, rank d - 1 through the projector itself on the d = 10
-    # subsystems and through the isometry on the d = 3 one
+    # D = 300 is above one hermitian_part tile
     @pytest.mark.parametrize("subset", [(0, 2), (0, 1, 2)])
     @pytest.mark.parametrize("rank", ["one", "d-1"])
     def test_compression_above_one_tile_matches_dense_product(self, subset, rank):
@@ -175,6 +172,11 @@ class TestTruncationMap:
         rho = dop((2, 2), np.diag([0.0, 0.5, 0.5, 0.0]))
         with pytest.raises(ValueError, match="annihilates"):
             truncation_map(rho, [0, 1], 1)
+
+    def test_zero_projector_annihilates(self):
+        rho = random_density((2, 3), 6, seed=25)
+        assert compress(rho, {0: np.zeros((2, 2))}) == (None, 0.0)
+        assert compress(rho, {0: np.eye(2), 1: np.zeros((3, 3))}) == (None, 0.0)
 
     def test_rank_validation(self):
         rho = random_density((2, 3), 4, seed=3)
@@ -264,20 +266,30 @@ class TestLocalChannels:
             got = truncation_channels(rho, [s], 1)
             assert np.abs(got.mat - local_kraus_oracle(rho, s, kraus)).max() < 1e-14
 
-    # only channel_project_or_reroute symmetrizes its output; depolarizing
-    # and dephasing must keep an exactly Hermitian input exactly Hermitian
+    # apply_local_channels does not symmetrize: depolarizing and dephasing
+    # must keep an exactly Hermitian input exactly Hermitian, and
+    # truncation_channels symmetrizes after its project-or-reroute channels
     @pytest.mark.parametrize("dims", LOCAL_DIMS + [(4, 40)])
     def test_exactly_hermitian_input_stays_exactly_hermitian(self, dims):
         rho = random_density(dims, int(np.prod(dims)), seed=51 + dims[-1])
         assert np.array_equal(rho.mat, rho.mat.conj().T)
         for s, d in enumerate(dims):
-            marg = partial_trace(rho, [s])
-            reroute = channel_project_or_reroute(top_projector(marg, 1), eigh(marg.mat).eigenvectors[:, 0])
-            for chan in (channel_depolarizing(0.3), channel_dephasing(0.3), reroute):
+            for chan in (channel_depolarizing(0.3), channel_dephasing(0.3)):
                 maps = [None] * len(dims)
                 maps[s] = chan
                 out = apply_local_channels(rho, maps).mat
                 assert np.array_equal(out, out.conj().T)
+        out = truncation_channels(rho, range(len(dims)), 1).mat
+        assert np.array_equal(out, out.conj().T)
+
+    # a validated state stores its Hermitian part, so a matrix accepted with
+    # an anti-Hermitian error of 1e-10 still gives an exactly Hermitian output
+    def test_nearly_hermitian_validated_input_gives_hermitian_output(self):
+        m = random_density((2, 3), 6, seed=52).mat + 1e-10j * np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        rho = DensityOp.create((2, 3), m)
+        for chans in ([channel_depolarizing(0.3), channel_dephasing(0.2)], [None, channel_dephasing(0.4)]):
+            out = apply_local_channels(rho, chans).mat
+            assert np.array_equal(out, out.conj().T)
 
     def test_depolarizing_trace_and_fixed_point(self):
         rho = random_density((2, 3), 5, seed=5)

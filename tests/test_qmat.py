@@ -260,6 +260,15 @@ class TestValidationAndJson:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOp.create((2,), np.diag([1.2, -0.2]))
 
+    def test_create_stores_hermitian_part(self):
+        rho = random_density((2, 2), 3, seed=15)
+        assert DensityOp.create((2, 2), rho.mat).mat.tobytes() == rho.mat.tobytes()
+        skew = 1e-10j * np.diag([1.0, -1.0, 0.0, 0.0])
+        got = DensityOp.create((2, 2), rho.mat + skew).mat
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - rho.mat).max() < 1e-15
+        assert DensityOp.create((2, 2), rho.mat + skew, validate=False).mat[0, 0].imag == 1e-10
+
     def test_json_round_trip(self):
         rho = random_density((2, 2), 3, seed=14)
         doc = matrix_to_json(rho)

@@ -692,6 +692,12 @@ class TestTruncationLimit:
         assert rows[0]["skipped"]
         assert "annihilates" in rows[0]["note"]
 
+    def test_rank_zero_step_skipped(self):
+        rho = dop((2, 2), np.diag([0.4, 0.1, 0.1, 0.4]))
+        rows = truncation_limit_experiment(rho, [{0: np.zeros((2, 2))}, {0: np.eye(2)}], [2], opts=FAST)
+        assert rows[0] == {"k": 0, "skipped": True, "note": "truncation annihilates state"}
+        assert not rows[1]["skipped"] and rows[1]["c_k"] == 1.0
+
 
 class TestInequalityVerifier:
     def test_bell_lb1_binds(self):
