@@ -85,6 +85,52 @@ def gibbs_marginal_pair(x: float = 0.002, mix: float = 0.2) -> DensityOp:
     return DensityOp(DimSig((3, 3)), hermitian_part(mat.astype(complex)))
 
 
+def maximally_correlated(a) -> DensityOp:
+    """The d x d maximally correlated state sum_ij a_ij |ii><jj| of a d x d
+    density matrix a. Its relative entropy of entanglement is
+    S(diag a) - S(a), attained by the dephased sum_i a_ii |ii><ii|
+    (Plenio, Virmani & Papadopoulos, J. Phys. A 33, L193 (2000))."""
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[0]
+    diag = np.arange(d) * (d + 1)  # |ii> in the d^2 product basis
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat[np.ix_(diag, diag)] = a
+    return DensityOp(DimSig((d, d)), hermitian_part(mat))
+
+
+def geometric_correlation(q: float, p: float, d: int) -> np.ndarray:
+    """a_ij = (1 - p) sqrt(l_i l_j) + p l_i delta_ij, l the truncated
+    geometric(q) spectrum: with `maximally_correlated`, a two-mode squeezed
+    vacuum truncated to d levels and dephased with weight p."""
+    lam = np.diag(truncate_to_density(SpectrumFamily.geometric(q), d).mat).real
+    root = np.sqrt(lam)
+    return (1.0 - p) * np.outer(root, root) + p * np.diag(lam)
+
+
+def _cayley(k) -> np.ndarray:
+    """The unitary (1 + iK)^-1 (1 - iK) of a Hermitian K."""
+    k = np.asarray(k, dtype=complex)
+    one = np.eye(k.shape[0])
+    return np.linalg.solve(one + 1j * k, one - 1j * k)
+
+
+# generators K of the fixed local unitaries of the rotated maximally
+# correlated fixture: no axis of either marginal eigenbasis lies along the
+# computational basis
+_MAXCORR_GENERATORS = (
+    [[0.3, 0.8 - 0.5j, 0.2j], [0.8 + 0.5j, -0.4, 0.6], [-0.2j, 0.6, 0.1]],
+    [[-0.2, 0.4 + 0.7j, 0.5 - 0.3j], [0.4 - 0.7j, 0.5, -0.9j], [0.5 + 0.3j, 0.9j, 0.0]],
+)
+
+
+def rotated_maximally_correlated() -> DensityOp:
+    """`maximally_correlated(geometric_correlation(0.5, 0.3, 3))` turned by
+    fixed local unitaries; E_R = S(diag a) - S(a) = 0.39901 nats."""
+    rho = maximally_correlated(geometric_correlation(0.5, 0.3, 3))
+    u = np.kron(*(_cayley(k) for k in _MAXCORR_GENERATORS))
+    return DensityOp(rho.sig, hermitian_part(u @ rho.mat @ u.conj().T))
+
+
 FIXTURES = {
     "bell": bell_state,
     "ghz3": ghz_state,
@@ -95,6 +141,7 @@ FIXTURES = {
     "geomgibbs-triple": lambda: geometric_gibbs_product(0.5, 4, 3),
     "correlated-geometric": lambda: correlated_geometric_state(0.02, 10, 3),
     "gibbs-marginal-3x3": gibbs_marginal_pair,
+    "maxcorr-3x3": rotated_maximally_correlated,
 }
 
 

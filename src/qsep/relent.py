@@ -483,6 +483,13 @@ def relative_entropy_entanglement(
 ) -> ERSolution:
     """Minimize D(rho || sigma) over finite product-atom mixtures.
 
+    The start mixes an anchor atom (the best single product atom, the
+    initial_atoms, or under a cap the one-hot ground atom if the anchor is
+    too energetic) with the uniform mixture 1/D, written as the D products
+    of each partition group's marginal eigenvectors. Every solve, capped or
+    warm-started too, uses this start, so the solve is covariant under
+    local unitaries up to the oracle's random restarts.
+
     With `constraint`, every iterate keeps Tr H sigma <= E: candidate
     atoms come from a multiplier sweep on G + mu H (mu in MU_GRID) and
     line searches are clipped to the feasible segment (feasibility, not
@@ -550,12 +557,14 @@ def relative_entropy_entanglement(
     if mean > e_cap:
         mix_w = 0.0 if e_start >= e_cap else min(mix_w, 0.9 * (e_cap - e_start) / (mean - e_start))
     w = np.asarray(w0) * ((1.0 - mix_w) / sum(w0))  # sequential sum, not pairwise
-    # the uniform mixture keeps full support; express it through basis atoms,
-    # each reweighted on its own by the corrective pass
+    # the uniform mixture keeps full support; express it through the products
+    # of each group's marginal eigenvectors, each reweighted on its own by the
+    # corrective pass, so the start turns with rho under local unitaries
     if mix_w > 0:
         w = np.concatenate([w, np.full(dim, mix_w / dim)])
-        vecs = np.vstack([vecs, np.eye(dim, dtype=complex)])
-        basis = _basis_factors(rho.sig, partition, np.arange(dim))
+        onehot = _basis_factors(rho.sig, partition, np.arange(dim))
+        basis = [b @ np.linalg.eigh(partial_trace(rho, g).mat)[1].T for b, g in zip(onehot, partition.groups)]
+        vecs = np.vstack([vecs, _product_vectors(basis, rho.sig.dims, partition.groups)])
         factors = [np.vstack([f, b]) for f, b in zip(factors, basis)]
 
     sigma = _mixture(w, vecs)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsep.entropy import conditional_entropy, relative_entropy, von_neumann_entropy
-from qsep.fixtures import bell_state, get_fixture, gibbs_marginal_pair
+from qsep.fixtures import bell_state, geometric_correlation, get_fixture, gibbs_marginal_pair, maximally_correlated
 from qsep.qmat import DensityOp, DimSig, partial_trace, random_density, random_pure, top_projector
 from qsep.relent import (
     EnergyConstraint,
@@ -365,25 +365,33 @@ class TestSolverCore:
             sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=250))
             assert sol.value <= 1e-5
 
+    @staticmethod
+    def start_atom_count(sol, rho, part):
+        """Returned atoms that are start atoms: products of eigenvectors of
+        the group marginals (here rho_02 and rho_1)."""
+        eigvecs = [np.linalg.eigh(partial_trace(rho, g).mat)[1] for g in part.groups]
+        return sum(
+            all((np.abs(u.conj().T @ f) ** 2).max() > 1.0 - 1e-12 for u, f in zip(eigvecs, atom.factors))
+            for _, atom in sol.atoms
+        )
+
     def test_returned_atoms_rebuild_sigma_grouped(self):
-        # few iterations, so one-hot basis atoms of the start survive; on the
-        # group {0, 2} their factors index a non-contiguous pair of subsystems
+        # few iterations, so atoms of the start survive; on the group {0, 2}
+        # their factors index a non-contiguous pair of subsystems
         rho = random_density((2, 3, 2), 12, seed=8)
         part = Partition(((0, 2), (1,)))
         sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=2))
-        one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
-        assert len(one_hot) >= 2
+        assert self.start_atom_count(sol, rho, part) >= 2
         rebuilt = atom_mixture(sol.atoms, rho.sig, part)
         assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
 
     def test_returned_atoms_rebuild_sigma_after_pruning(self):
-        # after 40 iterations pruning has dropped basis atoms, so the returned
+        # after 40 iterations pruning has dropped start atoms, so the returned
         # factors must follow the weights through every prune and append
         rho = random_density((2, 3, 2), 12, seed=8)
         part = Partition(((0, 2), (1,)))
         sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=40))
-        one_hot = [a for _, a in sol.atoms if all(np.count_nonzero(f) == 1 for f in a.factors)]
-        assert len(one_hot) < rho.sig.total
+        assert self.start_atom_count(sol, rho, part) < rho.sig.total
         rebuilt = atom_mixture(sol.atoms, rho.sig, part)
         assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
 
@@ -417,6 +425,82 @@ class TestSolverCore:
         atoms = [(1.0, SepAtom((e0, np.array([0.0, 0.6, 0.8]))))]
         with pytest.raises(ValueError, match=r"initial atom 0: group 1 factor has shape \(3,\), expected \(2,\)"):
             relative_entropy_entanglement(bell_state(), None, SolverOpts(max_iters=5), initial_atoms=atoms)
+
+
+def shannon(p) -> float:
+    p = np.asarray(p, dtype=float)
+    p = p[p > 1e-300]
+    return float(-(p * np.log(p)).sum())
+
+
+def haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def maximally_correlated_er(a) -> float:
+    """E_R of sum_ij a_ij |ii><jj| in closed form: S(diag a) - S(a)."""
+    return shannon(np.real(np.diag(a))) - shannon(np.linalg.eigvalsh(a))
+
+
+class TestLocalCovariance:
+    """Closed forms that hold in every local basis. The start's uniform atoms
+    are products of the marginal eigenvectors, which for pure and maximally
+    correlated states hold the optimal sigma's atoms."""
+
+    def test_maximally_correlated_fixture(self):
+        a = geometric_correlation(0.5, 0.3, 3)
+        closed = maximally_correlated_er(a)
+        rho = get_fixture("maxcorr-3x3")
+        # the fixture is rotated: neither marginal is diagonal
+        for s in (0, 1):
+            marginal = partial_trace(rho, [s]).mat
+            assert np.abs(marginal - np.diag(np.diag(marginal))).max() > 0.05
+        assert np.allclose(np.linalg.eigvalsh(rho.mat)[-3:], np.linalg.eigvalsh(a), atol=1e-14)
+        sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=5))
+        assert closed - 1e-12 <= sol.value <= closed + 1e-9
+        assert sol.value - sol.gap <= closed + 1e-9
+
+    def test_maximally_correlated_builder(self):
+        a = geometric_correlation(0.5, 0.3, 3)
+        rho = maximally_correlated(a)
+        assert np.array_equal(rho.mat[np.ix_([0, 4, 8], [0, 4, 8])], a.astype(complex))
+        assert np.count_nonzero(rho.mat) == 9
+        # the dephased sigma = sum_i a_ii |ii><ii| attains the closed form
+        dephased = dop((3, 3), np.diag(np.diag(rho.mat)))
+        assert abs(relative_entropy(rho, dephased) - maximally_correlated_er(a)) < 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+        kind=st.sampled_from(["pure", "maximally-correlated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_under_local_unitaries(self, dims, kind, seed):
+        rng = np.random.default_rng(seed)
+        d_a, d_b = dims
+        d = min(dims)
+        if kind == "pure":
+            vec = unit(rng, d_a * d_b)
+            closed = shannon(np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False) ** 2)
+            mat = np.outer(vec, vec.conj())
+        else:
+            # distinct diagonal weights, so each marginal eigenbasis is unique
+            diag = rng.permutation(np.arange(1, d + 1) + 0.5 * rng.random(d))
+            diag /= diag.sum()
+            rows = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            a = np.sqrt(np.outer(diag, diag)) * (rows @ rows.conj().T)
+            closed = maximally_correlated_er(a)
+            mat = maximally_correlated(a).mat
+        # Haar local unitaries; a d x d state enters d_a x d_b through their
+        # first d columns
+        u_a, u_b = haar_unitary(rng, d_a), haar_unitary(rng, d_b)
+        local = np.kron(u_a, u_b) if kind == "pure" else np.kron(u_a[:, :d], u_b[:, :d])
+        rho = dop(dims, local @ mat @ local.conj().T)
+        sol = relative_entropy_entanglement(rho, opts=SolverOpts(max_iters=5))
+        assert abs(sol.value - closed) <= 1e-9
 
 
 class TestEnergyConstrained:
@@ -523,6 +607,43 @@ class TestEnergyConstrained:
         feasible = relative_entropy(bell, dop((2, 2), np.diag([0.75, 0.0, 0.0, 0.25])))
         assert abs(feasible - 0.8370) < 1e-4
         assert 0 < sol.value - sol.gap <= feasible
+
+    @pytest.mark.parametrize("cap", [0.3, 0.6])
+    def test_eigenbasis_start_keeps_cap(self, monkeypatch, cap):
+        # rho's marginals are not diagonal, so the start's uniform atoms are
+        # products of rotated marginal eigenvectors, which H = diag(0, 1) per
+        # qubit does not share; the start and every iterate must keep the cap
+        import qsep.relent as relent_mod
+
+        rho = random_density((2, 2), 4, seed=21)
+        constraint = EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=cap)
+        h_diag = constraint.diagonal(rho.sig)
+        free = relative_entropy_entanglement(rho, None, FAST)
+        assert sigma_energy(free, constraint, rho.sig) > cap + 0.05
+        mixtures, sigmas = [], []
+        mixture, obj_and_grad = relent_mod._mixture, relent_mod._obj_and_grad
+
+        def record_mixture(w, vecs):
+            mixtures.append((w, vecs))
+            return mixture(w, vecs)
+
+        def record_sigma(rho_mat, sigma, tr_rho_ln_rho):
+            sigmas.append(sigma)
+            return obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
+
+        monkeypatch.setattr(relent_mod, "_mixture", record_mixture)
+        monkeypatch.setattr(relent_mod, "_obj_and_grad", record_sigma)
+        sol = relative_entropy_entanglement(rho, None, FAST, constraint=constraint)
+        w0, vecs0 = mixtures[0]
+        eigvecs = [np.linalg.eigh(partial_trace(rho, [s]).mat)[1] for s in (0, 1)]
+        basis = np.stack([np.kron(eigvecs[0][:, i], eigvecs[1][:, j]) for i in range(2) for j in range(2)])
+        assert np.abs(np.abs(vecs0[1:].conj() @ basis.T) ** 2 - np.eye(4)).max() < 1e-12
+        assert (np.abs(basis) ** 2).max() < 0.99  # no start atom is one-hot
+        assert w0 @ (np.abs(vecs0) ** 2 @ h_diag) <= cap + 1e-9
+        assert len(sigmas) >= 3
+        for sigma in sigmas:
+            assert float(h_diag @ np.real(np.diag(sigma))) <= cap + 1e-9
+        assert sigma_energy(sol, constraint, rho.sig) <= cap + 1e-9
 
     @pytest.mark.parametrize("cap", [0.51, 0.52, 0.54])
     def test_start_respects_cap_above_ground_anchor(self, cap):
