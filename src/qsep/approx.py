@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import mutual_information
-from .gibbs import BoundParams, BoundValue, fcb_bound
+from .gibbs import BoundParams, fcb_bound
 from .qmat import (
     HERM_TOL,
     DensityOp,
@@ -402,10 +402,8 @@ def _bound_params(template: BoundTemplate, witnesses: list, e_s: float) -> Bound
     )
 
 
-def _envelope_value(params: BoundParams, eps: float) -> BoundValue | None:
-    if eps <= 1.0:
-        return fcb_bound(params, eps)
-    return None
+def _envelope_value(params: BoundParams, eps: float) -> float | None:
+    return fcb_bound(params, eps) if eps <= 1.0 else None
 
 
 def envelope_from_families(marginal_spectra, witnesses, template: BoundTemplate, r_grid) -> list[dict]:
@@ -459,12 +457,7 @@ def truncation_experiment(
     them only (r, c_r, eps_r, gentle, f values, diff) is reported.
     `witness_subsystems` (default 0, 1, ...) names one distinct subsystem
     per witness; a list of another length, a repeated subsystem or one out
-    of range raises ValueError. A row's `clamped` is True when its Y_r
-    rests on a ceiling cut at gibbs.DIM_CAP, so Y_r is not a valid bound.
-
-    Every dense row is computed first, one compressed state at a time, and
-    the envelope after, on one BoundParams, so the witness levels are
-    grown once for all ranks.
+    of range raises ValueError.
     """
     params = None
     if witnesses is not None:
@@ -491,26 +484,19 @@ def truncation_experiment(
     for r in r_grid:
         out, plan = truncation_map(rho, subset, int(r))
         f_trunc = f(out)
+        eps = tail_parameter(plan.marginal_tail(rho))
         rows.append(
             {
                 "r": int(r),
                 "c_r": plan.c_r,
-                "eps_r": tail_parameter(plan.marginal_tail(rho)),
+                "eps_r": eps,
                 "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - plan.c_r)),
-                "Y_r": None,
-                "clamped": False,
+                "Y_r": None if params is None else _envelope_value(params, eps),
                 "f_exact": f_exact,
                 "f_trunc": f_trunc,
                 "diff": abs(f_trunc - f_exact),
             }
         )
-    # drop the last compressed state before the envelope grows witness
-    # levels (peak RSS)
-    out = None
-    for row in rows:
-        y = None if params is None else _envelope_value(params, row["eps_r"])
-        row["Y_r"] = None if y is None else float(y)
-        row["clamped"] = y is not None and y.clamped
     return ApproxReport(rows=rows)
 
 

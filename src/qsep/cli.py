@@ -193,10 +193,7 @@ def _cmd_approx(config: dict):
         )
         if row["Y_r"] is not None and row["diff"] > row["Y_r"] + 1e-8:
             violations.append({"kind": "envelope", "r": row["r"], "diff": row["diff"], "Y_r": row["Y_r"]})
-    extra = {}
-    if witnesses is not None:
-        extra["clamped_ranks"] = [row["r"] for row in report.rows if row["clamped"]]
-    return header, rows, extra, violations
+    return header, rows, {}, violations
 
 
 def _cmd_er(config: dict):

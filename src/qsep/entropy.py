@@ -61,12 +61,13 @@ def g_entropy(x: float) -> float:
     """(x+1) ln(x+1) - x ln x for x > 0, with value 0 at x = 0.
 
     Equals (x+1) h2(x/(x+1)); the additive term of the continuity bounds.
+    Evaluated as ln(1+x) + x ln(1+1/x), which does not cancel at large x.
     """
     if x < 0:
         raise ValueError(f"g_entropy needs x >= 0, got {x}")
     if x == 0:
         return 0.0
-    return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
+    return math.log1p(x) + x * math.log1p(1.0 / x)
 
 
 def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:

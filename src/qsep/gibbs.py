@@ -1,15 +1,17 @@
 """Gibbs states, maximum-entropy ceilings, and the continuity-bound evaluator.
 
-All solvers work on truncated diagonal level sequences. For symbolic
-Hamiltonians the truncation dimension is chosen adaptively so that the
-dropped partition-function terms are negligible at the solved inverse
-temperature (term criterion 1e-14 of the partial sum, floor 64).
+Finite level sequences (raw arrays, finite sources, or any source truncated
+to a given dim) are solved on their arrays. An infinite level source, a
+symbolic Hamiltonian or a witness, is solved on its Gibbs moments: ln Z,
+the mean and the variance as functions of beta, each an exact head sum
+plus integral tails (`gibbs_moments`), so no truncation is chosen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,9 +19,6 @@ from .entropy import _eta_sum, binary_entropy, g_entropy, von_neumann_entropy
 from .qmat import DensityOp, DimSig, partial_trace
 
 ENERGY_TOL = 1e-10
-DIM_FLOOR = 64
-DIM_CAP = 1 << 21
-TERM_CRIT = 1e-14
 MEMBERSHIP_SLACK = 1e-8
 
 
@@ -29,118 +28,146 @@ def _is_source(h) -> bool:
     return hasattr(h, "level")
 
 
-def _levels_of(h, dim: int | None, memo: dict | None = None) -> tuple[np.ndarray, bool]:
-    """Levels 1..dim of h, and whether they may grow.
+def _levels_of(h, dim: int | None) -> np.ndarray:
+    """Levels 1..dim of h as an array.
 
-    A level source yields values(dim); without a dim it yields its whole
-    finite length, or DIM_FLOOR levels that may grow by doubling when it
-    is infinite (taken from `memo` as in _grown). A raw level array is
-    taken whole.
+    A level source yields values(dim), or its whole finite length without
+    a dim; an infinite one needs a dim. A raw level array is taken whole
+    and must be nondecreasing.
     """
     if _is_source(h):
-        if dim is None and h.finite_dim is None:
-            return _grown(h, DIM_FLOOR, {} if memo is None else memo), True
-        return h.values(dim if dim is not None else h.finite_dim), False
+        n = dim if dim is not None else h.finite_dim
+        if n is None:
+            raise ValueError("an infinite level source needs a truncation dim")
+        return h.values(n)
     arr = np.asarray(h, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("level sequence must be a nonempty 1-D array")
-    return arr, False
+    if (np.diff(arr) < 0).any():
+        raise ValueError("raw level array must be nondecreasing")
+    return arr
 
 
-def _grown(h, n: int, memo: dict) -> np.ndarray:
-    """Levels 1..n of a growable level source.
+class _Source(NamedTuple):
+    """A level sequence as the solvers see it.
 
-    `memo` maps each source to the longest levels evaluated so far; only
-    the indices it lacks are evaluated, and it keeps the result. Levels
-    are elementwise, so the result is bit-identical to values(n).
+    `moments(beta)` gives ln Z, the mean and the variance of the
+    ground-shifted levels at beta > 0; `top` is the unshifted mean at
+    beta = 0 (inf for an infinite source); `levels` is None for an
+    infinite source.
     """
-    have = memo.get(h)
-    if have is None or have.size < n:
-        start = 0 if have is None else have.size
-        new = h.level(np.arange(start + 1, n + 1, dtype=float))
-        have = memo[h] = new if have is None else np.concatenate([have, new])
-    return have[:n]
+
+    ground: float
+    top: float
+    moments: Callable[[float], tuple[float, float, float]]
+    levels: np.ndarray | None
 
 
-def _stable_weights(levels: np.ndarray, beta: float) -> np.ndarray:
-    w = np.exp(-beta * (levels - levels[0]))
-    return w / w.sum()
+def _source(h, dim: int | None) -> _Source:
+    """h's Gibbs moments: its own for an infinite source without a dim,
+    else those of the level array."""
+    if _is_source(h) and dim is None and h.finite_dim is None:
+        return _Source(float(h.values(1)[0]), math.inf, h.gibbs_moments, None)
+    lv = _levels_of(h, dim)
+    s = lv - lv[0]
+
+    def moments(beta: float) -> tuple[float, float, float]:
+        w = np.exp(-beta * s)
+        z = float(w.sum())
+        m1 = float(np.dot(w, s)) / z
+        w *= s
+        return math.log(z), m1, max(0.0, float(np.dot(w, s)) / z - m1 * m1)
+
+    return _Source(float(lv[0]), float(lv.mean()), moments, lv)
 
 
 @dataclass(frozen=True)
 class GibbsSolution:
-    """Result of a mean-energy-constrained entropy maximization on a truncation.
+    """Result of a mean-energy-constrained entropy maximization.
 
-    `clamped` is set when the adaptive truncation of a symbolic Hamiltonian
-    or witness stopped at DIM_CAP before its dropped tail was negligible;
-    the entropy is then a truncation value below the true ceiling.
+    `levels` and `weights` hold the finite truncation that was solved; for
+    an infinite source solved without a dim they are None and there is no
+    `state`.
     """
 
     beta: float
-    levels: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    levels: np.ndarray | None = field(repr=False)
+    weights: np.ndarray | None = field(repr=False)
     mean_energy: float
     entropy: float
-    clamped: bool = False
 
     @property
-    def dim(self) -> int:
-        return int(self.levels.size)
+    def dim(self) -> int | None:
+        return None if self.levels is None else int(self.levels.size)
 
     @property
     def state(self) -> DensityOp:
         """Diagonal density operator; materialize only at desk dimensions."""
+        if self.levels is None:
+            raise ValueError("an infinite level source solved without dim has no finite state")
         if self.dim > 4096:
             raise ValueError(f"refusing to materialize a {self.dim}-dimensional dense state")
         return DensityOp(DimSig((self.dim,)), np.diag(self.weights).astype(complex))
 
 
-def _weights_at(levels: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs weights; at beta = inf, uniform on the degenerate ground levels."""
-    if not math.isinf(beta):
-        return _stable_weights(levels, beta)
-    w = np.zeros(levels.size)
-    degenerate = np.abs(levels - levels[0]) <= 1e-12 * max(1.0, abs(levels[0]))
-    w[degenerate] = 1.0 / degenerate.sum()
-    return w
+def _gibbs_at(src: _Source, beta: float) -> tuple[np.ndarray | None, float, float]:
+    """Weights (None for an infinite source), entropy and mean energy at beta.
+
+    At beta = inf the weights are uniform on the degenerate ground levels.
+    An infinite source has entropy beta mean + ln Z on its ground-shifted
+    levels; its ground level is nondegenerate, and at beta = 0 (no Gibbs
+    state) its entropy and mean are +inf.
+    """
+    lv = src.levels
+    if lv is not None:
+        if math.isinf(beta):
+            w = (np.abs(lv - lv[0]) <= 1e-12 * max(1.0, abs(lv[0]))).astype(float)
+        else:
+            w = np.exp(-beta * (lv - lv[0]))
+        w /= w.sum()
+        return w, _eta_sum(w), float((w * lv).sum())
+    if math.isinf(beta):
+        return None, 0.0, src.ground
+    if beta == 0.0:
+        return None, math.inf, math.inf
+    log_z, mean, _ = src.moments(beta)
+    return None, beta * mean + log_z, src.ground + mean
 
 
-def _common_beta(levels_list: list, e_target: float) -> float:
+def _common_beta(sources: list, e_target: float) -> float:
     """Find beta >= 0 with summed mean energy e_target; clamp to 0 when unconstrained.
 
-    The summed mean m(beta) falls with slope minus the summed variance.
-    An upper bracket is doubled from beta = 1, then safeguarded Newton
-    steps run from its last point: a step that leaves the bracket bisects
-    it instead, and a step shorter than half the bracket tolerance is
-    lengthened to it, so that near the root the next point lands across
-    it. The search stops when |m - e_target| <= ENERGY_TOL or the bracket
-    is narrower than 1e-14 max(1, beta_hi) (at most 200 steps). A level
-    array listed more than once (the same object) is evaluated once. At
-    the summed ground energy beta is infinite.
+    The summed mean m(beta) falls with slope minus the summed variance; a
+    divergent Z reads as mean +inf. An upper bracket is doubled from
+    beta = 1, then safeguarded Newton steps run from its last point: a
+    step that leaves the bracket bisects it instead, and a step shorter
+    than half the bracket tolerance is lengthened to it, so that near the
+    root the next point lands across it. The search stops when
+    |m - e_target| <= ENERGY_TOL or the bracket is narrower than
+    1e-14 beta_hi (at most 200 steps). A source listed more than once
+    (the same object) is evaluated once. At the summed ground energy beta
+    is infinite; when Z diverges at every beta there is no Gibbs state,
+    and beta is 0.
     """
     counts: dict[int, list] = {}
-    for lv in levels_list:
-        counts.setdefault(id(lv), [lv, 0])[1] += 1
+    for src in sources:
+        counts.setdefault(id(src), [src, 0])[1] += 1
     distinct = list(counts.values())
-    ground = sum(float(lv[0]) for lv in levels_list)
+    ground = sum(src.ground for src in sources)
     if e_target < ground - 1e-12:
         raise ValueError(f"infeasible energy {e_target} below ground level {ground}")
-    if e_target >= sum(n * float(lv.mean()) for lv, n in distinct):
+    if e_target >= sum(n * src.top for src, n in distinct):
         return 0.0
     if e_target <= ground + 1e-14 * max(1.0, abs(ground)):
         return math.inf
-    shifted = [(lv - lv[0], n) for lv, n in distinct]
 
     def moments(beta: float) -> tuple[float, float]:
         """Summed mean and variance at beta."""
         mean = var = 0.0
-        for s, n in shifted:
-            w = np.exp(-beta * s)
-            z = float(w.sum())
-            m1 = float(np.dot(w, s)) / z
-            w *= s
-            var += n * max(0.0, float(np.dot(w, s)) / z - m1 * m1)
+        for src, n in distinct:
+            _, m1, v = src.moments(beta)
             mean += n * m1
+            var += n * v
         return ground + mean, var
 
     beta_lo, beta_hi = 0.0, 1.0
@@ -150,11 +177,13 @@ def _common_beta(levels_list: list, e_target: float) -> float:
         beta_lo = beta_hi
         beta_hi *= 2.0
         if beta_hi > 1e12:
+            if math.isinf(m):
+                return 0.0
             break
         beta = beta_hi
         m, v = moments(beta)
     for _ in range(200):
-        tol = 1e-14 * max(1.0, beta_hi)
+        tol = 1e-14 * beta_hi
         if abs(m - e_target) <= ENERGY_TOL or beta_hi - beta_lo < tol:
             break
         step = (m - e_target) / v if v > 0.0 else math.nan
@@ -170,73 +199,33 @@ def _common_beta(levels_list: list, e_target: float) -> float:
     return beta
 
 
-def _tail_negligible(levels: np.ndarray, beta: float) -> bool:
-    z_partial = float(np.exp(-beta * (levels - levels[0])).sum())
-    return math.exp(-beta * (levels[-1] - levels[0])) < TERM_CRIT * z_partial
-
-
-def _adequate_dim(h, e_target: float, dim: int | None, memo: dict | None = None) -> tuple[np.ndarray, bool]:
-    """Grow the truncation until the last kept term is negligible at the solution.
-
-    Returns the levels and whether they reached DIM_CAP without passing
-    that test (only infinite level sources grow; a finite source, a raw
-    array or a given `dim` is never flagged). After five doublings past
-    the beta = 0 phase the levels are returned untested. A doubling takes
-    the levels from `memo` (source -> longest levels so far), and
-    evaluates only those it lacks.
-    """
-    memo = {} if memo is None else memo
-    levels, growable = _levels_of(h, dim, memo)
-    if not growable:
-        return levels, False
-    # cheap phase: make the beta = 0 mean reach the target (or hit the cap)
-    while float(levels.mean()) < e_target and levels.size < DIM_CAP:
-        levels = _grown(h, 2 * levels.size, memo)
-    for _ in range(5):
-        beta = _common_beta([levels], min(e_target, float(levels.mean())))
-        at_cap = levels.size >= DIM_CAP
-        if math.isinf(beta) or (beta == 0.0 and not at_cap):
-            return levels, False
-        adequate = beta > 0.0 and _tail_negligible(levels, beta)
-        if adequate or at_cap:
-            return levels, not adequate
-        levels = _grown(h, 2 * levels.size, memo)
-    return levels, levels.size >= DIM_CAP
-
-
 def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
-    """Gibbs solution with mean energy E on a (possibly adaptive) truncation.
+    """Gibbs solution with mean energy E.
 
-    `h` may be a level source (a HamiltonianSpec or a witness) or a raw
-    level array. If E is at or above the truncated-space mean at beta = 0
-    the constraint is inactive and beta clamps to 0.
+    `h` may be a level source (a HamiltonianSpec or a witness) or a
+    nondecreasing raw level array. An infinite source without a dim is
+    solved on its Gibbs moments, with no truncation. If E is at or above
+    a finite truncation's mean at beta = 0 the constraint is inactive and
+    beta clamps to 0.
     """
-    levels, clamped = _adequate_dim(h, E, dim)
-    beta = _common_beta([levels], E)
-    w = _weights_at(levels, beta)
-    return GibbsSolution(
-        beta=beta,
-        levels=levels,
-        weights=w,
-        mean_energy=float((w * levels).sum()),
-        entropy=_eta_sum(w),
-        clamped=clamped,
-    )
+    src = _source(h, dim)
+    beta = _common_beta([src], E)
+    w, entropy, mean = _gibbs_at(src, beta)
+    return GibbsSolution(beta=beta, levels=src.levels, weights=w, mean_energy=mean, entropy=entropy)
 
 
 def max_entropy(h, E: float, dim: int | None = None) -> float:
-    """Largest entropy among truncated states with mean energy at most E."""
+    """Largest entropy among states with mean energy at most E (truncated to dim if given)."""
     return solve_beta(h, E, dim).entropy
 
 
 @dataclass(frozen=True)
 class MultiGibbsSolution:
-    """Common-beta product solution; `clamped` as in GibbsSolution, for any factor."""
+    """Common-beta product solution."""
 
     beta: float
     entropies: tuple[float, ...]
     means: tuple[float, ...]
-    clamped: bool = False
 
     @property
     def entropy(self) -> float:
@@ -254,36 +243,27 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
     product of Gibbs states sharing one inverse temperature, so a single
     scalar root-find on the summed mean-energy curve suffices. Equal
     level sources with equal dims, and a raw array listed more than once,
-    are truncated once and share one level array, whose weights are
-    computed once.
+    share one set of moments, evaluated once per beta.
     """
-    return _solve_beta_multi(hams, E, dims, {})
-
-
-def _solve_beta_multi(hams: list, E: float, dims: list[int] | None, memo: dict) -> MultiGibbsSolution:
-    """solve_beta_multi, growing levels through `memo` (see _grown)."""
     if dims is None:
         dims = [None] * len(hams)
     if len(dims) != len(hams):
         raise ValueError("dims must align with hams")
-    grown: dict[tuple, tuple[np.ndarray, bool]] = {}
-    levels_list = []
+    seen: dict[tuple, _Source] = {}
+    sources = []
     for h, d in zip(hams, dims):
         # a raw array is keyed by identity: == on arrays compares elementwise
         key = (h if _is_source(h) else id(h), d)
-        if key not in grown:
-            grown[key] = _adequate_dim(h, E, d, memo)
-        levels_list.append(grown[key][0])
-    beta = _common_beta(levels_list, E)
+        if key not in seen:
+            seen[key] = _source(h, d)
+        sources.append(seen[key])
+    beta = _common_beta(sources, E)
     terms: dict[int, tuple[float, float]] = {}
-    for lv in levels_list:
-        if id(lv) not in terms:
-            w = _weights_at(lv, beta)
-            terms[id(lv)] = (_eta_sum(w), float((w * lv).sum()))
-    ents, means = zip(*(terms[id(lv)] for lv in levels_list))
-    return MultiGibbsSolution(
-        beta=beta, entropies=ents, means=means, clamped=any(c for _, c in grown.values())
-    )
+    for src in sources:
+        if id(src) not in terms:
+            terms[id(src)] = _gibbs_at(src, beta)[1:]
+    ents, means = zip(*(terms[id(src)] for src in sources))
+    return MultiGibbsSolution(beta=beta, entropies=ents, means=means)
 
 
 def max_entropy_multi(hams: list, E: float, dims: list[int] | None = None) -> float:
@@ -294,13 +274,15 @@ def max_entropy_multi(hams: list, E: float, dims: list[int] | None = None) -> fl
 def check_asymptotic_condition(h, which: str, e_grid, dim: int | None = None) -> dict:
     """Report F(E)/E or F(E)/sqrt(E) along a grid with a monotone-trend verdict.
 
-    This is a finite-truncation trend report; it makes no asymptotic claim.
+    This is a trend report on a grid; it makes no asymptotic claim.
     """
     if which not in ("o(E)", "o(sqrtE)"):
         raise ValueError(f"which must be 'o(E)' or 'o(sqrtE)', got {which!r}")
     e_grid = [float(e) for e in e_grid]
     if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
         raise ValueError("energy grid must be strictly increasing")
+    if e_grid and e_grid[0] <= 0.0:
+        raise ValueError(f"energy grid must be positive, got {e_grid}")
     ratios = []
     for e in e_grid:
         f = max_entropy(h, e, dim)
@@ -318,14 +300,16 @@ def check_asymptotic_condition(h, which: str, e_grid, dim: int | None = None) ->
 def squared_hamiltonian_check(h, e_grid, dim: int | None = None) -> list[dict]:
     """Compare the ceilings of H^2 at E with those of H at sqrt(E) per grid point.
 
-    The truncated ceilings satisfy F_{H^2}(E) <= F_H(sqrt(E)) exactly, so
-    rows carry the margin for callers to assert.
+    (Tr H rho)^2 <= Tr H^2 rho for any Hermitian H, so on one truncation
+    F_{H^2}(E) <= F_H(sqrt(E)) exactly, and rows carry the margin for
+    callers to assert. An infinite source needs a truncation dim.
     """
+    lv = _levels_of(h, dim)
+    sq = np.sort(lv**2)
     rows = []
     for e in e_grid:
         e = float(e)
-        lv, _ = _adequate_dim(h, math.sqrt(e), dim)
-        f_sq = solve_beta(lv**2, e).entropy
+        f_sq = solve_beta(sq, e).entropy
         f_lin = solve_beta(lv, math.sqrt(e)).entropy
         rows.append(
             {
@@ -341,12 +325,7 @@ def squared_hamiltonian_check(h, e_grid, dim: int | None = None) -> list[dict]:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs of the common continuity bound: coefficients, arity, energy, Hamiltonians.
-
-    The object also keeps the witness levels that fcb_bound grows, so a
-    sequence of bounds on one BoundParams evaluates each level once; the
-    values equal those of fresh params bit for bit.
-    """
+    """Inputs of the common continuity bound: coefficients, arity, energy, Hamiltonians."""
 
     C: float
     D: float
@@ -354,57 +333,35 @@ class BoundParams:
     E: float
     hams: tuple
     trunc_dim: int | None = None
-    # levels grown for fcb_bound, per source (see _grown); they live as long
-    # as this object, so every bound on it grows each witness level once
-    _levels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.C < 0 or self.D < 0:
             raise ValueError("bound coefficients must be nonnegative")
         if self.m < 1 or len(self.hams) != self.m:
             raise ValueError(f"need m >= 1 Hamiltonians, got m={self.m}, {len(self.hams)} hams")
-        grounds = sum(float(_levels_of(h, 1)[0][0]) for h in self.hams)
+        grounds = sum(float(_levels_of(h, 1)[0]) for h in self.hams)
         if self.m * self.E < grounds - 1e-12:
             raise ValueError(
                 f"total energy {self.m * self.E} below summed ground energy {grounds}"
             )
 
 
-class BoundValue(float):
-    """A continuity-bound value; `clamped` says its ceiling F was cut at DIM_CAP.
-
-    A clamped F is a truncation value below the true ceiling, so the bound
-    is then not the bound it claims to be.
-    """
-
-    def __new__(cls, value: float, clamped: bool = False):
-        out = super().__new__(cls, value)
-        out.clamped = clamped
-        return out
-
-
-def fcb_bound(p: BoundParams, eps: float) -> BoundValue:
+def fcb_bound(p: BoundParams, eps: float) -> float:
     """Continuity-bound value C sqrt(e(2-e)) F[2mE/(e(2-e))] + D g(sqrt(e(2-e))).
 
     Defined as 0 at eps = 0 (the faithfulness limit); errors outside [0, 1].
-    The ceiling F grows its truncations through the levels kept on `p`, so
-    repeated calls on one BoundParams evaluate each level once.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     if eps == 0.0:
-        return BoundValue(0.0)
+        return 0.0
     x = eps * (2.0 - eps)
     rx = math.sqrt(x)
     term = 0.0
-    clamped = False
     if p.C > 0:
-        arg = 2.0 * p.m * p.E / x
         dims = None if p.trunc_dim is None else [p.trunc_dim] * p.m
-        ceiling = _solve_beta_multi(list(p.hams), arg, dims, p._levels)
-        term = p.C * rx * ceiling.entropy
-        clamped = ceiling.clamped
-    return BoundValue(term + p.D * g_entropy(rx), clamped)
+        term = p.C * rx * max_entropy_multi(list(p.hams), 2.0 * p.m * p.E / x, dims)
+    return term + p.D * g_entropy(rx)
 
 
 @dataclass(frozen=True)

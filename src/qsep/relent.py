@@ -30,7 +30,7 @@ from .entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .gibbs import _levels_of
+from .gibbs import _is_source
 from .qmat import (
     DensityOp,
     DimSig,
@@ -264,8 +264,9 @@ class EnergyConstraint:
             raise ValueError(f"need one local Hamiltonian per subsystem ({sig.nsys})")
         total = np.zeros(sig.total)
         for s, h in enumerate(self.hams):
-            vals = _levels_of(h, sig.dims[s])[0]
-            if vals.size != sig.dims[s]:
+            # a diagonal H may list its levels in any order
+            vals = np.asarray(h.values(sig.dims[s]) if _is_source(h) else h, dtype=float)
+            if vals.shape != (sig.dims[s],):
                 raise ValueError(f"local Hamiltonian {s} has {vals.size} levels, need {sig.dims[s]}")
             before = int(np.prod(sig.dims[:s])) if s else 1
             after = int(np.prod(sig.dims[s + 1 :])) if s + 1 < sig.nsys else 1

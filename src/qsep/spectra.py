@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,58 +27,84 @@ from .qmat import DensityOp, DimSig
 
 HEAD_N = 50_000
 DEFAULT_BETAS = (0.2, 0.1, 0.05, 0.02, 0.01)
-TERM_CUT = 1e-12
 T_CEIL = 700.0
 CHECK_N = 100_000
-N_MAX = 2_000_000  # terms summed directly in ln Z before the integral tail
-WITNESS_HEAD_N = 20_000  # terms summed directly in a witness's ln Z
+WITNESS_HEAD_N = 20_000  # levels summed directly in the Gibbs moments of an infinite H
+HEAD_CUT = 100.0  # Gibbs terms below e^{-HEAD_CUT} of the first excited term are dropped
+SIMPSON_N = 4001
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
 INCONCLUSIVE = "inconclusive"
 
 
-def _simpson(fn, a: float, b: float, npts: int = 2001) -> float:
-    """Composite Simpson rule with an odd number of grid points."""
-    if b <= a:
-        return 0.0
-    if npts % 2 == 0:
-        npts += 1
-    x = np.linspace(a, b, npts)
-    y = fn(x)
-    h = (b - a) / (npts - 1)
-    return float(h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
+def _simpson(a: float, b: float, n: int = SIMPSON_N) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the composite Simpson rule on [a, b] with an
+    odd number n of nodes: w @ f(x) approximates the integral of f."""
+    w = np.tile([2.0, 4.0], n // 2 + 1)[:n]
+    w[0] = w[-1] = 1.0
+    return np.linspace(a, b, n), w * ((b - a) / (3.0 * (n - 1)))
 
 
-def _log_exp_integral(exponent_fn, t0: float, t_peak: float) -> float:
-    """log of the integral of exp(exponent_fn(t)) over [t0, inf).
+def _block_quadrature(beta: float, ta: float, tb: float, c: float, p: float):
+    """Simpson rule for the integral of e^{t - beta c t^p} over t in [ta, tb).
 
-    The exponent must be unimodal with maximum near t_peak. Integration
-    stops once the exponent has dropped 60 e-folds below its maximum on
-    the interval; everything is scaled by that maximum so arbitrarily
-    large integrals stay representable through their logarithm.
+    Returns (ref, t, e), where ref is the exponent's maximum on the block
+    and e @ f(t) is the integral of e^{t - beta c t^p - ref} f(t). The nodes
+    span the part where the exponent lies within 60 of ref, an interval as
+    the exponent is concave for p >= 1. The integral must converge.
     """
+    bc = beta * c
+    peak = min(max((bc * p) ** (1.0 / (1.0 - p)), ta), tb) if p > 1.0 else ta
+    ref = peak - bc * peak**p
 
-    def expo(t: float) -> float:
-        return float(exponent_fn(np.asarray([t], dtype=float))[0])
+    def edge(sign: float, bound: float) -> float:
+        d = 1.0
+        while True:
+            t = peak + sign * d
+            if sign * (t - bound) >= 0.0:
+                return bound
+            if t - bc * t**p < ref - 60.0:
+                return t
+            d *= 2.0
 
-    ref = max(expo(t0), expo(max(t0, t_peak)))
-    t_hi = max(t0, t_peak) + 1.0
-    while expo(t_hi) > ref - 60.0:
-        t_hi = t_hi * 1.5 + 1.0
-        if t_hi > 1e12:
-            break
-
-    def fn(x):
-        return np.exp(exponent_fn(x) - ref)
-
-    val = _simpson(fn, t0, t_hi, 4001)
-    return math.log(val) + ref if val > 0 else -math.inf
+    t, w = _simpson(edge(-1.0, ta), edge(1.0, tb))
+    return ref, t, np.exp(t - bc * t**p - ref) * w
 
 
-def _exp_integral(exponent_fn, t0: float, t_peak: float) -> float:
-    lv = _log_exp_integral(exponent_fn, t0, t_peak)
-    return math.exp(lv) if lv < 700.0 else math.inf
+def _gibbs_moments(head: np.ndarray, blocks, beta: float) -> tuple[float, float, float]:
+    """ln Z, mean and variance of the Gibbs weights e^{-beta h_i} at beta > 0.
+
+    `head` holds the N levels h_1 = 0 < h_2 <= ... of the first indices,
+    summed exactly up to the first level with beta (h_i - h_2) > HEAD_CUT.
+    The h_2 term bounds each moment from below, so the dropped terms, even
+    weighted by h_i^2, sum to at most N (h_N / h_2)^2 e^{-HEAD_CUT} of it.
+    Each block (t_a, t_b, c, p) carries the levels c t^p, t = ln i, on
+    [t_a, t_b) past the head; it adds the quadrature of e^{t - beta c t^p}
+    times 1, c t^p and c^2 t^2p. Every block must converge. The blocks
+    are skipped when the head is cut: their levels exceed h_N, so their
+    integrand starts below e^{ln N - HEAD_CUT} of the h_2 term and falls
+    at a rate above HEAD_CUT / ln N - 1. The parts are summed on a common
+    scale, so a Z beyond float range stays representable through ln Z.
+    """
+    cut = int(np.searchsorted(head, head[1] + HEAD_CUT / beta, side="right"))
+    s = head[:cut]
+    w = np.exp(-beta * s)
+    parts = [(0.0, float(w.sum()), float(w @ s), float((w * s) @ s))]
+    t_head = math.log(head.size + 0.5)
+    for ta, tb, c, p in blocks if cut == head.size else ():
+        ta = max(ta, t_head)
+        if tb > ta:
+            ref, t, e = _block_quadrature(beta, ta, tb, c, p)
+            lv = c * t**p
+            parts.append((ref, float(e.sum()), float(e @ lv), float((e * lv) @ lv)))
+    scale = max(r for r, *_ in parts)
+    z = m1 = m2 = 0.0
+    for r, a, b, q in parts:
+        f = math.exp(r - scale)
+        z, m1, m2 = z + f * a, m1 + f * b, m2 + f * q
+    mean = m1 / z
+    return scale + math.log(z), mean, max(0.0, m2 / z - mean * mean)
 
 
 # ---------------------------------------------------------------------------
@@ -153,38 +180,32 @@ class HamiltonianSpec:
     def ground(self) -> float:
         return float(self.values(1)[0])
 
+    @cached_property
+    def _head(self) -> np.ndarray:
+        """Levels a ln^p i of a logpow H, offset dropped, over its exact head."""
+        return self.a * np.log(np.arange(1, WITNESS_HEAD_N + 1, dtype=float)) ** self.p
+
+    def gibbs_moments(self, beta: float) -> tuple[float, float, float]:
+        """ln Z, mean and variance of the weights e^{-beta (h_i - h_1)} of an
+        infinite H at beta > 0: the closed geometric series for linear, an
+        exact head plus one integral block for logpow (all inf when divergent)."""
+        if self.kind == "linear":
+            mean = self.w / math.expm1(beta * self.w)
+            return -math.log(-math.expm1(-beta * self.w)), mean, mean * (mean + self.w)
+        if self.kind != "logpow":
+            raise ValueError(f"gibbs_moments needs an infinite Hamiltonian, got kind {self.kind!r}")
+        if self.diverges_at(beta):
+            return math.inf, math.inf, math.inf
+        return _gibbs_moments(self._head, [(0.0, math.inf, self.a, self.p)], beta)
+
     def log_partition_value(self, beta: float) -> float:
         """ln Tr e^{-beta H} with integral tail correction; inf when divergent."""
         if beta <= 0:
             raise ValueError("partition function needs beta > 0")
-        shift = -beta * self.offset
         if self.kind == "explicit":
             base = np.asarray(self.levels, dtype=float)
-            return shift + math.log(float(np.exp(-beta * base).sum()))
-        if self.kind == "linear":
-            x = math.exp(-beta * self.w)
-            return shift - math.log1p(-x)
-        if self.diverges_at(beta):
-            return math.inf
-        p, s = self.p, self.a * beta
-        total = 0.0
-        n = 0
-        block = 100_000
-        while n < N_MAX:
-            hi = min(n + block, N_MAX)
-            i = np.arange(n + 1, hi + 1, dtype=float)
-            terms = np.exp(-s * np.log(i) ** p)
-            total += float(terms.sum())
-            n = hi
-            if terms[-1] < TERM_CUT * total:
-                break
-        t0 = math.log(n + 0.5)
-        if p == 1.0:
-            log_tail = (1.0 - s) * t0 - math.log(s - 1.0)
-        else:
-            t_peak = (1.0 / (s * p)) ** (1.0 / (p - 1.0))
-            log_tail = _log_exp_integral(lambda t: t - s * t**p, t0, t_peak)
-        return shift + float(np.logaddexp(math.log(total), log_tail))
+            return -beta * self.offset + math.log(float(np.exp(-beta * base).sum()))
+        return -beta * self.offset + self.gibbs_moments(beta)[0]
 
     def partition_value(self, beta: float) -> float:
         """Tr e^{-beta H}; inf when divergent or beyond float range."""
@@ -377,20 +398,8 @@ class SpectrumFamily:
                 )
             if self.ham.diverges_at(self.beta):
                 return math.inf
-            p, sb = self.ham.p, self.beta * self.ham.a
-            scale = math.exp(-self.beta * self.ham.offset)
-            if p == 1.0:
-
-                def expo(t):
-                    return (1.0 - sb) * t + (k * np.log(t) if k else 0.0)
-
-                return scale * _exp_integral(expo, t0, t0)
-
-            def expo(t):
-                return t - sb * t**p + (k * np.log(t) if k else 0.0)
-
-            t_peak = (1.0 / (sb * p)) ** (1.0 / (p - 1.0))
-            return scale * _exp_integral(expo, t0, t_peak)
+            ref, t, e = _block_quadrature(self.beta, t0, math.inf, self.ham.a, self.ham.p)
+            return math.exp(ref - self.beta * self.ham.offset) * float(e @ t**k)
         # powlog / loglog: integral of u^{k-q} (ln u)^{-p} du over (t0, inf)
         q = self.q
         p = self.p if self.kind == "loglog" else 0.0
@@ -404,7 +413,8 @@ class SpectrumFamily:
                 u = t0 / v
                 return t0 * u ** (-s) / (v * v) / np.log(u) ** p
 
-            return _simpson(fn, 0.0, 1.0, 8001)
+            v, w = _simpson(0.0, 1.0, 8001)
+            return float(fn(v) @ w)
         if s == 1.0 and p > 1.0:
             return math.log(t0) ** (1.0 - p) / (p - 1.0)
         return math.inf
@@ -625,33 +635,26 @@ class FAWitness:
         """Witness values g(1..dim) as a float array."""
         return self.level(np.arange(1, dim + 1))
 
+    @cached_property
+    def _head(self) -> np.ndarray:
+        return self.values(WITNESS_HEAD_N)
+
+    @cached_property
+    def _blocks(self) -> list:
+        """(t_a, t_b, c, 2) of each block, on which c_i = c."""
+        bounds = (0.0,) + self.block_bounds_t + (math.inf,)
+        return [(ta, tb, float(k), 2.0) for k, (ta, tb) in enumerate(zip(bounds, bounds[1:]), start=1)]
+
+    def gibbs_moments(self, beta: float) -> tuple[float, float, float]:
+        """ln Z, mean and variance of the weights e^{-beta g_i} at beta > 0: an
+        exact head plus one integral block in ln-space per witness block."""
+        return _gibbs_moments(self._head, self._blocks, beta)
+
     def log_partition_value(self, beta: float) -> float:
-        """ln sum_i e^{-beta g_i}: exact head plus per-block Gaussian integrals in ln-space."""
+        """ln sum_i e^{-beta g_i}: exact head plus per-block integrals in ln-space."""
         if beta <= 0:
             raise ValueError("partition value needs beta > 0")
-        log_total = math.log(float(np.exp(-beta * self.values(WITNESS_HEAD_N)).sum()))
-        t_lo = math.log(WITNESS_HEAD_N + 0.5)
-        bounds = list(self.block_bounds_t) + [math.inf]
-        prev = 0.0
-        for k, tb in enumerate(bounds, start=1):
-            ta, prev = max(prev, t_lo), tb
-            if tb <= t_lo:
-                continue
-            c = float(k)
-            mu = 1.0 / (2.0 * beta * c)
-            sigma = 1.0 / math.sqrt(2.0 * beta * c)
-            hi = min(tb, mu + 12.0 * sigma)
-            if hi <= ta:
-                continue  # block lies beyond the Gaussian bump
-            ref = max(ta - beta * c * ta * ta, (mu - beta * c * mu * mu) if ta <= mu <= hi else hi - beta * c * hi * hi)
-
-            def fn(t, c=c, ref=ref):
-                return np.exp(t - beta * c * t * t - ref)
-
-            seg = _simpson(fn, ta, hi, 4001)
-            if seg > 0:
-                log_total = float(np.logaddexp(log_total, math.log(seg) + ref))
-        return log_total
+        return self.gibbs_moments(beta)[0]
 
 
 def build_fa_witness(s: SpectrumFamily) -> FAWitness:

@@ -134,27 +134,6 @@ def test_approx_command(tmp_path):
     header = rec["csv"]["header"]
     assert header == ["r", "c_r", "eps_r", "gentle_bound", "Y_r", "f_exact", "f_trunc", "diff"]
     assert len(rec["csv"]["rows"]) == 4
-    assert rec["extra"] == {"clamped_ranks": []}
-
-
-def test_approx_readme_config_lists_clamped_ranks(tmp_path):
-    # from r = 7 on, each witness's target energy lies above the mean of its
-    # 2^21-level truncation, so the ceiling is cut there; the record says so
-    # and the CSV is unchanged
-    config = {
-        "command": "approx",
-        "state": "fixture:correlated-geometric",
-        "subset": [0, 1, 2],
-        "r_grid": [1, 2, 3, 4, 5, 6, 7, 8, 9],
-        "channels": [["depolarizing", 0.05], ["dephasing", 0.1], "identity"],
-        "witness_families": ["geometric:0.02", "geometric:0.02"],
-        "bound": {"C": 2.0, "D": 3.0},
-    }
-    rec = run(config, out_dir=tmp_path)
-    assert rec["extra"] == {"clamped_ranks": [7, 8, 9]}
-    assert json.loads((tmp_path / "record.json").read_text())["extra"] == rec["extra"]
-    rows = [dict(zip(rec["csv"]["header"], row)) for row in rec["csv"]["rows"]]
-    assert all(row["diff"] <= row["Y_r"] for row in rows)
 
 
 def test_approx_witness_count_error_exits_1(tmp_path, capsys):

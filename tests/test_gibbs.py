@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsep.entropy import mutual_information, von_neumann_entropy
+from qsep.entropy import g_entropy, mutual_information, von_neumann_entropy
 from qsep.gibbs import (
-    DIM_CAP,
     ENERGY_TOL,
     BoundParams,
-    _adequate_dim,
     _common_beta,
+    _source,
     check_asymptotic_condition,
     class_membership_check,
     fcb_bound,
@@ -22,7 +21,15 @@ from qsep.gibbs import (
     squared_hamiltonian_check,
 )
 from qsep.qmat import DensityOp, DimSig, random_density
-from qsep.spectra import FAWitness, HamiltonianSpec, build_fa_witness, parse_family
+from qsep.spectra import (
+    WITNESS_HEAD_N,
+    FAWitness,
+    HamiltonianSpec,
+    SpectrumFamily,
+    build_fa_witness,
+    parse_family,
+    truncate_to_density,
+)
 
 QUBIT = HamiltonianSpec.explicit([0.0, 1.0])
 LINEAR = HamiltonianSpec.linear(1.0)
@@ -66,20 +73,28 @@ class TestSolveBeta:
         sol = solve_beta(LINEAR, 1e9, dim=128)
         assert sol.beta == 0.0
         assert np.allclose(sol.weights, np.full(128, 1 / 128))
-        # a user-set truncation is what was asked for, not a cut ceiling
-        assert not sol.clamped
 
-    def test_cap_flag_only_for_growth_cut_at_cap(self):
-        # the qubit's beta = 0 clamp is the inactive constraint, not a cut
-        assert not solve_beta(QUBIT, 0.7).clamped
-        w = build_fa_witness(parse_family("geometric:0.02"))
-        assert not solve_beta(w, 100.0).clamped
-        cut = solve_beta(w, 1e5)
-        assert cut.clamped and cut.dim == DIM_CAP and cut.beta == 0.0
-        assert not solve_beta(w, 1e5, dim=4096).clamped
-        assert solve_beta_multi([QUBIT, w], 1e5).clamped
-        p = BoundParams(C=1.0, D=1.0, m=1, E=1.0, hams=(QUBIT,))
-        assert not fcb_bound(p, 0.5).clamped
+    def test_unsorted_raw_levels_rejected(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            solve_beta(np.array([1.0, 0.0]), 0.25)
+
+    def test_infinite_source_has_no_finite_state(self):
+        sol = solve_beta(LINEAR, 1.0)
+        assert sol.levels is None and sol.weights is None and sol.dim is None
+        with pytest.raises(ValueError, match="no finite state"):
+            sol.state
+        assert solve_beta(LINEAR, 1.0, dim=64).state.sig.dims == (64,)
+
+    @pytest.mark.parametrize("energy", [1.0, 10.0, 1e3, 1e5, 1e7])
+    def test_linear_ceiling_is_closed_form(self, energy):
+        # F = g(E) for H = w (i - 1) (Winter 2016); the geometric series is
+        # summed in closed form, so no truncation caps the large energies
+        assert max_entropy(LINEAR, energy) == pytest.approx(g_entropy(energy), rel=1e-10)
+
+    def test_logpow_below_one_has_infinite_ceiling(self):
+        # Tr e^{-beta a ln^p i} diverges at every beta for p < 1
+        sol = solve_beta(HamiltonianSpec.logpow(1.0, 0.5), 3.0)
+        assert sol.beta == 0.0 and math.isinf(sol.entropy)
 
 
 def summed_mean(levels_list, beta):
@@ -137,7 +152,8 @@ class TestCommonBeta:
     @given(problem=level_problems())
     def test_matches_independent_bisection(self, problem):
         levels_list, target = problem
-        beta = _common_beta(levels_list, target)
+        sources = {id(lv): _source(lv, None) for lv in levels_list}
+        beta = _common_beta([sources[id(lv)] for lv in levels_list], target)
         ref = bisection_oracle(levels_list, target)
         # the stop rule |m - E| <= ENERGY_TOL fixes beta only to within
         # ENERGY_TOL / variance; keep draws where that is below 1e-9 beta
@@ -149,49 +165,10 @@ class TestCommonBeta:
 
     def test_repeated_array_counts_once_per_listing(self):
         lv = np.array([0.0, 1.0, 2.5, 4.0])
-        twice = _common_beta([lv, lv], 1.2)
-        assert abs(twice - _common_beta([lv], 0.6)) <= 1e-12
+        src = _source(lv, None)
+        twice = _common_beta([src, src], 1.2)
+        assert abs(twice - _common_beta([src], 0.6)) <= 1e-12
         assert abs(twice - bisection_oracle([lv, lv.copy()], 1.2)) <= 1e-8 * twice
-
-
-class TestTruncationGrowth:
-    # growth of the README witness that stops on a passing tail test, after
-    # five tested doublings (three cases) and at the cap with the beta = 0
-    # mean still below the target; only a stop at DIM_CAP is flagged
-    @pytest.mark.parametrize(
-        "energy, size",
-        [(1.0, 64), (100.0, 2048), (3446.0, 262144), (5000.0, DIM_CAP), (1e4, DIM_CAP)],
-        ids=["tail-test", "five-doublings-from-64", "five-doublings-from-8192", "five-doublings-to-cap", "mean-below-cap"],
-    )
-    def test_doubling_matches_direct_levels(self, energy, size):
-        w = build_fa_witness(parse_family("geometric:0.02"))
-        out, clamped = _adequate_dim(w, energy, None)
-        assert out.size == size
-        assert np.array_equal(out, w.values(out.size))
-        assert clamped == (size == DIM_CAP)
-
-    # a symbolic Hamiltonian grows by its new half like a witness
-    @pytest.mark.parametrize(
-        "ham, energy, size",
-        [(HamiltonianSpec.logpow(4, 2), 100.0, 16384), (HamiltonianSpec.logpow(4, 2), 1000.0, DIM_CAP), (LINEAR, 1000.0, 32768)],
-        ids=["logpow", "logpow-to-cap", "linear"],
-    )
-    def test_spec_doubling_matches_direct_levels(self, ham, energy, size):
-        out, clamped = _adequate_dim(ham, energy, None)
-        assert out.size == size
-        assert np.array_equal(out, ham.values(out.size))
-        assert clamped == (size == DIM_CAP)
-
-    def test_equal_witnesses_grow_once(self, monkeypatch):
-        w = build_fa_witness(parse_family("geometric:0.02"))
-        w_copy = build_fa_witness(parse_family("geometric:0.02"))
-        assert w_copy == w and w_copy is not w
-        seen = []
-        level = FAWitness.level
-        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(id(self)) or level(self, i))
-        both = max_entropy_multi([w, w_copy], 200.0)
-        assert set(seen) == {id(w)}
-        assert abs(both - 2 * max_entropy(w, 100.0)) < 1e-8
 
 
 class TestMaxEntropy:
@@ -239,6 +216,17 @@ class TestMaxEntropyMulti:
         with pytest.raises(ValueError, match="infeasible"):
             max_entropy_multi([QUBIT, QUBIT], -0.5)
 
+    def test_equal_witnesses_evaluated_once(self, monkeypatch):
+        w = build_fa_witness(parse_family("geometric:0.02"))
+        w_copy = build_fa_witness(parse_family("geometric:0.02"))
+        assert w_copy == w and w_copy is not w
+        seen = []
+        level = FAWitness.level
+        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(id(self)) or level(self, i))
+        both = max_entropy_multi([w, w_copy], 200.0)
+        assert set(seen) == {id(w)}
+        assert abs(both - 2 * max_entropy(w, 100.0)) < 1e-8
+
     @pytest.mark.parametrize("order", [1, -1], ids=["array-first", "spec-first"])
     def test_raw_array_beside_equal_spec(self, order):
         # a raw array is never compared with == against a level source; the
@@ -274,6 +262,10 @@ class TestAsymptoticTrends:
         with pytest.raises(ValueError):
             check_asymptotic_condition(LINEAR, "o(E)", [2, 1])
 
+    def test_nonpositive_grid_energy_rejected(self):
+        with pytest.raises(ValueError, match="energy grid"):
+            check_asymptotic_condition(LINEAR, "o(E)", [0.0, 1.0, 2.0], dim=64)
+
 
 class TestSquaredHamiltonian:
     def test_projector_hamiltonian_equality(self):
@@ -286,6 +278,15 @@ class TestSquaredHamiltonian:
         assert rows[0]["ok"]
         rows = squared_hamiltonian_check(LINEAR, [9.0], dim=1024)
         assert rows[0]["ok"]
+
+    def test_indefinite_levels_square_to_sorted_levels(self):
+        # (Tr H rho)^2 <= Tr H^2 rho holds for any Hermitian H
+        rows = squared_hamiltonian_check(np.array([-1.0, 0.5, 2.0]), [0.5])
+        assert rows[0]["ok"] and rows[0]["margin"] > 0
+
+    def test_infinite_source_needs_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            squared_hamiltonian_check(LINEAR, [4.0])
 
     def test_grid_sweep_no_violations(self):
         for ham, dim in ((QUBIT, None), (LINEAR, 512), (HamiltonianSpec.logpow(1, 1), 1024)):
@@ -308,12 +309,31 @@ class TestContinuityBound:
             assert abs(fcb_bound(p, eps) - math.sqrt(x) * math.log(2)) < 1e-12
 
     def test_faithfulness_limit(self):
-        p = BoundParams(C=1.0, D=1.0, m=1, E=2.0, hams=(HamiltonianSpec.logpow(4, 2),))
+        # H = 4 ln^2 i breaks F_H(E) = o(sqrt E): sqrt(x) F(2mE/x) falls to
+        # sqrt(2mE/a) = 1, not to 0, as eps -> 0
+        h = HamiltonianSpec.logpow(4, 2)
+        p = BoundParams(C=1.0, D=1.0, m=1, E=2.0, hams=(h,))
         assert fcb_bound(p, 0.0) == 0.0
-        grid = [1.0, 0.5, 0.1, 0.01, 1e-3, 1e-5]
+        grid = [1.0, 0.5, 0.1, 0.01, 1e-3, 1e-5, 1e-9, 1e-13]
         vals = [fcb_bound(p, e) for e in grid]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 0.1
+        xs = [e * (2 - e) for e in grid]
+        terms = [math.sqrt(x) * max_entropy(h, 2 * p.m * p.E / x) for x in xs]
+        assert all(1.0 < b < a for a, b in zip(terms, terms[1:]))
+        assert terms[-1] < 1.0 + 1e-5
+        assert abs(vals[-1] - 1.0) < 2e-5
+
+    def test_vanishing_limit_for_linear_hamiltonian(self):
+        # F_H = g for H = i - 1, so the bound is C sqrt(x) g(2mE/x) + D g(sqrt x)
+        p = BoundParams(C=1.0, D=1.0, m=1, E=2.0, hams=(LINEAR,))
+        grid = [1.0, 0.5, 0.1, 0.01, 1e-3, 1e-5, 1e-7]
+        vals = [fcb_bound(p, e) for e in grid]
+        for e, val in zip(grid, vals):
+            x = e * (2 - e)
+            closed = math.sqrt(x) * g_entropy(2 * p.m * p.E / x) + g_entropy(math.sqrt(x))
+            assert val == pytest.approx(closed, rel=1e-9)
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert vals[-1] < 0.02
 
     def test_domain_errors(self):
         p = BoundParams(C=1.0, D=1.0, m=1, E=1.0, hams=(QUBIT,))
@@ -328,29 +348,57 @@ class TestContinuityBound:
         with pytest.raises(ValueError):
             BoundParams(C=-1.0, D=1.0, m=1, E=1.0, hams=(QUBIT,))
 
-    def test_shared_params_grow_each_level_once(self, monkeypatch):
-        # the README approx envelope: two equal geometric:0.02 witnesses and
-        # eps_r = sqrt(3 * 0.02^r), whose ceilings reach DIM_CAP at r = 7..9
-        w = build_fa_witness(parse_family("geometric:0.02"))
-        w_copy = build_fa_witness(parse_family("geometric:0.02"))
-        eps = [math.sqrt(3 * 0.02**r) for r in range(1, 10)]
 
-        def params():
-            return BoundParams(C=2.0, D=3.0, m=2, E=2 * w.energy, hams=(w, w_copy))
+def readme_envelope():
+    """Bound params and eps_r of the README approx config, from its marginal:
+    two equal geometric:0.02 witnesses, E_S = sum_s Tr G rho_s and
+    eps_r = sqrt(summed marginal tails) over three subsystems."""
+    fam = parse_family("geometric:0.02")
+    w, w_copy = build_fa_witness(fam), build_fa_witness(fam)
+    marg = np.diag(truncate_to_density(SpectrumFamily.geometric(0.02), 10).mat).real
+    e_s = 2 * float(marg @ w.values(10))
+    params = BoundParams(C=2.0, D=3.0, m=2, E=e_s, hams=(w, w_copy))
+    return params, [math.sqrt(3 * float(marg[r:].sum())) for r in range(1, 10)]
 
-        fresh = [fcb_bound(params(), e) for e in eps]
-        shared = params()
+
+def ceiling_target(params, eps):
+    """Summed energy 2mE/x at which fcb_bound takes its ceiling."""
+    return 2 * params.m * params.E / (eps * (2 - eps))
+
+
+class TestReadmeEnvelope:
+    def test_ceilings_read_only_the_witness_head(self, monkeypatch):
         seen = []
         level = FAWitness.level
-        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(np.array(i)) or level(self, i))
-        values = [fcb_bound(shared, e) for e in eps]
-        assert [v.hex() for v in values] == [v.hex() for v in fresh]
-        assert [v.clamped for v in values] == [v.clamped for v in fresh] == [False] * 6 + [True] * 3
-        indices = np.sort(np.concatenate(seen))
-        assert np.array_equal(indices, np.arange(1, DIM_CAP + 1))
-        # a params object compares and hashes on its fields alone
-        assert shared == params() and hash(shared) == hash(params())
-        assert "_levels" not in repr(shared)
+        monkeypatch.setattr(FAWitness, "level", lambda self, i: seen.append(np.max(i)) or level(self, i))
+        params, eps = readme_envelope()
+        values = [fcb_bound(params, e) for e in eps]
+        assert all(math.isfinite(v) for v in values)
+        assert max(seen) <= WITNESS_HEAD_N
+
+    def test_ranks_1_to_4_match_level_arrays(self):
+        # there a 4096-level truncation leaves a tail below 1e-20 of Z
+        params, eps = readme_envelope()
+        for e in eps[:4]:
+            target = ceiling_target(params, e)
+            arrays = max_entropy_multi(list(params.hams), target, dims=[4096, 4096])
+            assert max_entropy_multi(list(params.hams), target) == pytest.approx(arrays, rel=1e-9, abs=0)
+
+    def test_rank_5_matches_chunked_direct_sum(self):
+        params, eps = readme_envelope()
+        w = params.hams[0]
+        sol = solve_beta_multi(list(params.hams), ceiling_target(params, eps[4]))
+        z = m1 = 0.0
+        chunk = 1 << 20
+        for lo in range(1, (1 << 22) + 1, chunk):
+            g = w.level(np.arange(lo, lo + chunk, dtype=float))
+            terms = np.exp(-sol.beta * g)
+            z += float(terms.sum())
+            m1 += float(terms @ g)
+        # the last chunk's terms are below 1e-18 of Z
+        assert terms[-1] < 1e-18 * z
+        assert sol.entropies[0] == pytest.approx(sol.beta * m1 / z + math.log(z), rel=1e-10)
+        assert sol.means[0] == pytest.approx(m1 / z, rel=1e-10)
 
 
 class TestSandwichChecks:
