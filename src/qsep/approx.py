@@ -51,18 +51,27 @@ class TruncationPlan:
         return total
 
 
-def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
-    """Checked sorted subset and the rank-r projectors of rho's marginals on it."""
+def _checked_subset(rho: DensityOp, subset) -> tuple[int, ...]:
+    """The subset as sorted distinct subsystems of rho, or ValueError."""
     subset = tuple(sorted(set(int(s) for s in subset)))
     if not subset:
         raise ValueError("subset must name at least one subsystem")
-    dims = rho.sig.dims
-    if any(s < 0 or s >= len(dims) for s in subset):
-        raise ValueError(f"subset {subset} out of range for {len(dims)} subsystems")
+    if any(s < 0 or s >= rho.sig.nsys for s in subset):
+        raise ValueError(f"subset {subset} out of range for {rho.sig.nsys} subsystems")
+    return subset
+
+
+def _check_rank(rho: DensityOp, subset: tuple[int, ...], r: int) -> None:
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    if r > min(dims[s] for s in subset):
+    if r > min(rho.sig.dims[s] for s in subset):
         raise ValueError(f"rank r={r} exceeds a local dimension on subset {subset}")
+
+
+def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """Checked sorted subset and the rank-r projectors of rho's marginals on it."""
+    subset = _checked_subset(rho, subset)
+    _check_rank(rho, subset, r)
     return subset, {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
 
 
@@ -102,6 +111,23 @@ def _conj_t(x: np.ndarray) -> np.ndarray:
     return np.conjugate(x.T, out=np.empty(x.shape[::-1], dtype=x.dtype))
 
 
+def _reduce(mat: np.ndarray, vs: list, dims) -> np.ndarray:
+    """Kept core W^dagger mat W of a Hermitian mat, W the product of the
+    isometries `vs` (None is the identity): rows, a conjugate transpose, rows."""
+    vh = [None if v is None else v.conj().T for v in vs]
+    return _rows(_conj_t(_rows(mat, vh, dims)), vh, dims)
+
+
+def _expand(sig, core: np.ndarray, vs: list, kept) -> tuple[DensityOp | None, float]:
+    """The state W (core / c) W^dagger with c = Tr core, symmetrized once;
+    the state is None when c is at most ANNIHILATION_TOL."""
+    c = float(np.real(np.trace(core)))
+    if c <= ANNIHILATION_TOL:
+        return None, c
+    mat = _rows(_conj_t(_rows(core / c, vs, kept)), vs, kept)
+    return DensityOp(sig, hermitian_part(mat)), c
+
+
 def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
     """Normalized compression Q rho Q / c with its weight c = Tr Q rho.
 
@@ -110,10 +136,10 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     names its subsystem. Each projector is factored as V V^dagger, and rho
     is reduced to the kept core W^dagger rho W, W the product of the V,
     with left multiplications only: rows, a conjugate transpose, rows.
-    The core is expanded back the same way. c is the trace of the expanded
-    matrix, which is then divided by c and symmetrized once. The state is
-    None when c is at most ANNIHILATION_TOL, and (None, 0.0) is returned at
-    once when a projector is zero.
+    c is the trace of the core, which is divided by c and expanded back
+    the same way, then symmetrized once. The state is None when c is at
+    most ANNIHILATION_TOL, and (None, 0.0) is returned at once when a
+    projector is zero.
 
     The state is not repaired: rounding in Q rho Q is divided by c, so at c
     barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
@@ -126,15 +152,8 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
             vs[s] = _isometry(projectors[s], s, d)
             if vs[s].shape[1] == 0:
                 return None, 0.0
-    vh = [None if v is None else v.conj().T for v in vs]
     kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
-    mat = _rows(_conj_t(_rows(rho.mat, vh, dims)), vh, dims)
-    mat = _rows(_conj_t(_rows(mat, vs, kept)), vs, kept)
-    c = float(np.real(np.trace(mat)))
-    if c <= ANNIHILATION_TOL:
-        return None, c
-    mat /= c
-    return DensityOp(rho.sig, hermitian_part(mat)), c
+    return _expand(rho.sig, _reduce(rho.mat, vs, dims), vs, kept)
 
 
 def _require_state(out: DensityOp | None) -> DensityOp:
@@ -458,8 +477,17 @@ def truncation_experiment(
     `witness_subsystems` (default 0, 1, ...) names one distinct subsystem
     per witness; a list of another length, a repeated subsystem or one out
     of range raises ValueError.
+
+    Each subsystem of the subset and of the witnesses takes one marginal
+    eigendecomposition (qmat.eigh, whose order top_projector shares): the
+    rank-r isometry is its first r eigenvector columns, the tail mass the
+    sum of its eigenvalues past r (clipped at 0), and the witness energy
+    sum_i g_i lambda_i. rho is reduced once, to the largest rank; the
+    ranks then run in descending order, each core the leading block of
+    the last, and rows come back in r_grid order.
     """
     params = None
+    subs: list[int] = []
     if witnesses is not None:
         if template is None:
             raise ValueError("witnesses need a bound template for the envelope")
@@ -470,34 +498,48 @@ def truncation_experiment(
             raise ValueError(f"{len(witnesses)} witnesses but {len(subs)} witness subsystems")
         if len(set(subs)) < len(subs) or not set(subs) <= set(range(rho.sig.nsys)):
             raise ValueError(f"witness subsystems {subs} must be distinct subsystems of 0..{rho.sig.nsys - 1}")
-        g_ops = {
-            s: witness_operator(rho, s, w.values(rho.sig.dims[s]))
-            for s, w in zip(subs, witnesses)
-        }
-        e_s = sum(
-            float(np.real(np.trace(g_ops[s] @ partial_trace(rho, [s]).mat)))
-            for s in subs
-        )
+    subset = _checked_subset(rho, subset)
+    ranks = [int(r) for r in r_grid]
+    for r in ranks:
+        _check_rank(rho, subset, r)
+    dims = rho.sig.dims
+    decs = {s: eigh(partial_trace(rho, [s]).mat) for s in sorted(set(subset) | set(subs))}
+    if witnesses is not None:
+        e_s = sum(float(w.values(dims[s]) @ decs[s].eigenvalues) for s, w in zip(subs, witnesses))
         params = _bound_params(template, list(witnesses), e_s)
     f_exact = f(rho)
-    rows = []
-    for r in r_grid:
-        out, plan = truncation_map(rho, subset, int(r))
+    bases = [decs[s].eigenvectors if s in subset else None for s in range(len(dims))]
+    desc = sorted(set(ranks), reverse=True)
+    core = None
+    found = {}
+    for r, r_next in zip(desc, desc[1:] + [None]):
+        vs = [None if v is None else v[:, :r] for v in bases]
+        kept = [d if v is None else r for d, v in zip(dims, vs)]
+        if core is None:
+            core = _reduce(rho.mat, vs, dims)
+        out, c = _expand(rho.sig, core, vs, kept)
+        _require_state(out)
+        # hand the next rank's core, a leading block of this one, off before f runs
+        if r_next is None:
+            core = None
+        else:
+            inner = [d if v is None else r_next for d, v in zip(dims, vs)]
+            lead = tuple(slice(n) for n in inner) * 2
+            core = np.ascontiguousarray(core.reshape(kept * 2)[lead]).reshape(math.prod(inner), -1)
         f_trunc = f(out)
-        eps = tail_parameter(plan.marginal_tail(rho))
-        rows.append(
-            {
-                "r": int(r),
-                "c_r": plan.c_r,
-                "eps_r": eps,
-                "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - plan.c_r)),
-                "Y_r": None if params is None else _envelope_value(params, eps),
-                "f_exact": f_exact,
-                "f_trunc": f_trunc,
-                "diff": abs(f_trunc - f_exact),
-            }
-        )
-    return ApproxReport(rows=rows)
+        del out
+        eps = tail_parameter(sum(max(0.0, math.fsum(decs[s].eigenvalues[r:])) for s in subset))
+        found[r] = {
+            "r": r,
+            "c_r": c,
+            "eps_r": eps,
+            "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - c)),
+            "Y_r": None if params is None else _envelope_value(params, eps),
+            "f_exact": f_exact,
+            "f_trunc": f_trunc,
+            "diff": abs(f_trunc - f_exact),
+        }
+    return ApproxReport(rows=[dict(found[r]) for r in ranks])
 
 
 def qmi_function(channel_specs: list | None = None):

@@ -228,11 +228,13 @@ def _cmd_er_reg(config: dict):
     k_max = _int_field(config, "k_max", 2)
     rows_d = regularized_estimates(rho, part, k_max, _solver_opts(config))
     rows = [[r["k"], r["value"], r["gap"], r["iters"]] for r in rows_d]
+    # the two-copy start's size and whether it is sigma x sigma go in the record only
+    extra = {key: rows_d[-1][key] for key in ("lift_pairs", "lift_exact") if key in rows_d[-1]}
     violations = []
     for a, b in zip(rows_d, rows_d[1:]):
         if b["value"] > a["value"] + 1e-6:
             violations.append({"kind": "subadditivity", "k": b["k"], "values": [a["value"], b["value"]]})
-    return ["k", "value", "gap", "iters"], rows, {}, violations
+    return ["k", "value", "gap", "iters"], rows, extra, violations
 
 
 def _cmd_er_energy(config: dict):

@@ -139,10 +139,14 @@ def _common_beta(sources: list, e_target: float) -> float:
 
     The summed mean m(beta) falls with slope minus the summed variance; a
     divergent Z reads as mean +inf. An upper bracket is doubled from
-    beta = 1, then safeguarded Newton steps run from its last point: a
-    step that leaves the bracket bisects it instead, and a step shorter
-    than half the bracket tolerance is lengthened to it, so that near the
-    root the next point lands across it. The search stops when
+    beta = 1, then safeguarded Newton steps run from its last point. After
+    the first Newton step that leaves the bracket, a step from below the
+    root, or one that would leave, is taken on ln(m - ground) against
+    ln beta instead, which reaches a small root in a few steps where the
+    bracket would be halved again and again. A step that still leaves the
+    bracket bisects it instead, and a step shorter than half the bracket
+    tolerance is lengthened to it, so that near the root the next point
+    lands across it. The search stops when
     |m - e_target| <= ENERGY_TOL or the bracket is narrower than
     1e-14 beta_hi (at most 200 steps). A source listed more than once
     (the same object) is evaluated once. At the summed ground energy beta
@@ -182,11 +186,22 @@ def _common_beta(sources: list, e_target: float) -> float:
             break
         beta = beta_hi
         m, v = moments(beta)
+    log_steps = False
     for _ in range(200):
         tol = 1e-14 * beta_hi
         if abs(m - e_target) <= ENERGY_TOL or beta_hi - beta_lo < tol:
             break
         step = (m - e_target) / v if v > 0.0 else math.nan
+        inside = beta_lo < beta + step < beta_hi
+        # once a Newton step leaves the bracket, the root lies where the mean
+        # above the ground grows like a power of 1/beta: steps from below the
+        # root, and steps that would leave, are then Newton steps on the log
+        # of that excess against ln beta
+        log_steps = log_steps or not inside
+        excess = m - ground
+        if log_steps and v > 0.0 and excess > 0.0 and (m > e_target or not inside):
+            slope = beta * v / excess
+            step = beta * math.expm1(min(math.log(excess / (e_target - ground)) / slope, 700.0))
         if abs(step) < 0.5 * tol:
             step = math.copysign(0.5 * tol, step)
         nxt = beta + step

@@ -723,12 +723,43 @@ def tensor_power_regrouped(rho: DensityOp, k: int) -> DensityOp:
     return DensityOp(DimSig(tuple(d**k for d in dims)), mat)
 
 
+def _caratheodory(atoms: list, sig: DimSig, partition: Partition) -> list:
+    """At most D^2 of the atoms, reweighted to the same mixture sigma.
+
+    Carathéodory steps: the projectors P_a of the K active atoms, stacked
+    as the columns [Re P_a; Im P_a] of a real 2D^2 x K matrix, have a null
+    vector u (the last right singular vector), so sum_a u_a P_a = 0 and,
+    taking traces, sum_a u_a = 0. The weights move along -u until the
+    first one reaches 0, and that atom is dropped, until K <= D^2. A list
+    of at most D^2 atoms is returned as it is.
+    """
+    if len(atoms) <= sig.total**2:
+        return atoms
+    w = np.asarray([wt for wt, _ in atoms], dtype=float)
+    stacks = [np.stack(fs) for fs in zip(*(a.factors for _, a in atoms))]
+    vecs = _product_vectors(stacks, sig.dims, partition.groups)
+    proj = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(len(atoms), -1)
+    cols = np.concatenate([proj.real, proj.imag], axis=1).T
+    alive = np.arange(len(atoms))
+    while len(alive) > sig.total**2:
+        u = np.linalg.svd(cols[:, alive])[2][-1]
+        if u.max() <= 0.0:
+            u = -u
+        pos = np.flatnonzero(u > 0.0)
+        j = pos[np.argmin(w[alive[pos]] / u[pos])]
+        w[alive] = np.maximum(w[alive] - (w[alive[j]] / u[j]) * u, 0.0)
+        w[alive[j]] = 0.0
+        alive = np.delete(alive, j)
+    return [(w[a], atoms[a][1]) for a in alive]
+
+
 def _lift_atoms_to_power(atoms: list, sig: DimSig, partition: Partition) -> list:
     """Products of two copies of first-power atoms, regrouped per party.
 
     Keeps the LIFT_CAP heaviest pairs (ties in pair order) and renormalizes
     their weights; factors are built for the kept pairs only, one broadcast
-    product per group."""
+    product per group. For D <= 4, atoms reduced to at most D^2 first
+    (_caratheodory) give at most 256 pairs, all within the cap."""
     dims = sig.dims
     w = np.asarray([wt for wt, _ in atoms])
     pair_w = np.outer(w, w).ravel()
@@ -756,7 +787,11 @@ def regularized_estimates(
 
     Row k reports E(rho^(x k))/k with its gap also divided by k, so both
     are per copy; `raw_value` keeps the k-copy value. The k = 2 solve
-    warm-starts from the k = 1 atom decomposition squared; k_max is 1 or 2.
+    warm-starts from the k = 1 atom decomposition, reduced to at most D^2
+    atoms, squared; its row adds `lift_pairs`, the number of atom pairs in
+    that start, and `lift_exact`, whether they are all the pairs, so that
+    the start is sigma x sigma. For D <= 4 every pair fits LIFT_CAP, and
+    only pairs below weight 1e-12 can be dropped. k_max is 1 or 2.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -766,12 +801,16 @@ def regularized_estimates(
         raise ValueError(f"k_max must be 1 or 2, got {k_max}")
     sols = [relative_entropy_entanglement(rho, partition, opts)]
     if k_max == 2:
-        warm = _lift_atoms_to_power(sols[0].atoms, rho.sig, partition)
+        one = _caratheodory(sols[0].atoms, rho.sig, partition)
+        warm = _lift_atoms_to_power(one, rho.sig, partition)
         sols.append(relative_entropy_entanglement(tensor_power_regrouped(rho, 2), partition, opts, initial_atoms=warm))
-    return [
+    rows = [
         {"k": k, "value": sol.value / k, "raw_value": sol.value, "gap": sol.gap / k, "iters": sol.iterations}
         for k, sol in enumerate(sols, start=1)
     ]
+    if k_max == 2:
+        rows[1].update(lift_pairs=len(warm), lift_exact=len(warm) == len(one) ** 2)
+    return rows
 
 
 # ---------------------------------------------------------------------------

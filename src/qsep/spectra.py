@@ -678,7 +678,37 @@ def build_fa_witness(s: SpectrumFamily) -> FAWitness:
     if not math.isfinite(total) or total <= 0:
         raise ValueError("no witness: ln^2-weighted sum is not finite and positive")
 
+    def above(n: int, target: float) -> bool:
+        # tested at the index midpoint, so block membership is exact for integers
+        return tail_ln2(math.log(n + 0.5)) > target
+
+    def index_boundary(target: float, t_lo: float) -> int | None:
+        """The smallest index n >= floor(e^t_lo) not above the target, or None
+        when it is not below 1e15: gallop, then bisect on integers."""
+        cap = 10**15 - 1
+        lo = math.floor(math.exp(t_lo))
+        if lo >= cap:
+            return None
+        if not above(lo, target):
+            return lo
+        step, hi = 1, lo + 1
+        while above(hi, target):
+            if hi == cap:
+                return None
+            lo, step = hi, 2 * step
+            hi = min(lo + step, cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid, target):
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
     def boundary_for(target: float, t_lo: float) -> float:
+        n = index_boundary(target, t_lo)
+        if n is not None:
+            return math.log(n + 0.5)
         lo, hi = t_lo, T_CEIL
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -686,12 +716,6 @@ def build_fa_witness(s: SpectrumFamily) -> FAWitness:
                 lo = mid
             else:
                 hi = mid
-        # snap to the index midpoint so block membership is exact for integers
-        if hi < math.log(1e15):
-            n = math.floor(math.exp(hi))
-            while tail_ln2(math.log(n + 0.5)) > target:
-                n += 1
-            return math.log(n + 0.5)
         return hi
 
     # families whose tail-halving boundaries explode doubly exponentially

@@ -6,6 +6,8 @@ import pytest
 from qsep.approx import (
     BoundTemplate,
     TruncationPlan,
+    _bound_params,
+    _envelope_value,
     apply_local_channels,
     apply_plan,
     channel_depolarizing,
@@ -24,7 +26,7 @@ from qsep.approx import (
     witness_operator,
 )
 from qsep.entropy import _eta_sum, mutual_information
-from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, ghz_state
+from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, get_fixture, ghz_state
 from qsep.qmat import DensityOp, DimSig, eigh, partial_trace, product_operator, random_density, top_projector
 from qsep.relent import truncation_limit_experiment
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
@@ -497,3 +499,74 @@ class TestExperimentHarness:
             entropy_mod, "von_neumann_entropy", lambda x: _eta_sum(eigvalsh(x.mat))
         )
         assert fast == [f(x) for x in states]
+
+
+class TestOnePassExperiment:
+    """The experiment takes one marginal eigendecomposition per subsystem and
+    one reduction; every row must still be the per-rank compression."""
+
+    @pytest.mark.parametrize(
+        "dims, subset, witness_subsystems, r_grid",
+        [((3, 3, 3), [0, 2], [1, 0], [2, 1, 3, 2]), ((2, 4, 3), [2, 1], [0, 1], [2, 1, 3, 1])],
+    )
+    def test_rows_match_per_rank_truncation_map(self, dims, subset, witness_subsystems, r_grid):
+        rho = random_density(dims, 12, seed=sum(dims))
+        assert np.abs(rho.mat - np.diag(np.diag(rho.mat))).max() > 1e-3
+        f = qmi_function(channel_specs=[("depolarizing", 0.1), "identity", ("dephasing", 0.2)])
+        witness = build_fa_witness(SpectrumFamily.geometric(0.5))
+        template = BoundTemplate(C=2.0, D=3.0)
+        rep = truncation_experiment(
+            rho, f, subset, r_grid, witnesses=[witness, witness],
+            witness_subsystems=witness_subsystems, template=template,
+        )
+        assert [row["r"] for row in rep.rows] == r_grid
+        f_exact = f(rho)
+        # the envelope's energy through the dense witness operators
+        e_s = sum(
+            float(np.real(np.trace(witness_operator(rho, s, witness.values(dims[s])) @ partial_trace(rho, [s]).mat)))
+            for s in witness_subsystems
+        )
+        params = _bound_params(template, [witness, witness], e_s)
+        for row in rep.rows:
+            out, plan = truncation_map(rho, subset, row["r"])
+            f_trunc = f(out)
+            assert abs(row["c_r"] - plan.c_r) < 1e-12
+            assert abs(row["f_trunc"] - f_trunc) < 1e-12
+            assert abs(row["diff"] - abs(f_trunc - f_exact)) < 1e-12
+            assert row["f_exact"] == f_exact
+            assert abs(row["eps_r"] ** 2 - plan.marginal_tail(rho)) < 1e-12
+            want = _envelope_value(params, row["eps_r"])
+            if want:
+                assert abs(row["Y_r"] / want - 1.0) < 1e-12
+            else:  # None past eps = 1, 0 once the tails vanish
+                assert row["Y_r"] == want
+        # a duplicated rank gives equal rows that are distinct dicts
+        dup = [i for i, r in enumerate(r_grid) if r_grid.index(r) != i][0]
+        first = rep.rows[r_grid.index(r_grid[dup])]
+        assert rep.rows[dup] == first and rep.rows[dup] is not first
+
+    def test_errors_keep_their_messages(self):
+        rho = dop((2, 2), np.diag([0.0, 0.5, 0.5, 0.0]))
+        f = qmi_function()
+        with pytest.raises(ValueError, match="truncation annihilates state: Tr Q rho is numerically zero"):
+            truncation_experiment(rho, f, [0, 1], [2, 1])
+        with pytest.raises(ValueError, match="rank r must be >= 1"):
+            truncation_experiment(rho, f, [0, 1], [1, 0])
+        with pytest.raises(ValueError, match=r"rank r=3 exceeds a local dimension on subset \(0, 1\)"):
+            truncation_experiment(rho, f, [1, 0], [1, 3])
+        with pytest.raises(ValueError, match="subset must name at least one subsystem"):
+            truncation_experiment(rho, f, [], [1])
+        with pytest.raises(ValueError, match=r"subset \(0, 2\) out of range for 2 subsystems"):
+            truncation_experiment(rho, f, [0, 2], [1])
+
+    def test_readme_tails_are_exact_geometric_tails(self):
+        # the README approx state: three parties with d = 10 geometric(0.02)
+        # marginals, whose tail past r is (q^r - q^10) / (1 - q^10) per party;
+        # 1 - Tr P_r rho_s loses it to cancellation from r = 7 on
+        q, d = 0.02, 10
+        rho = get_fixture("correlated-geometric")
+        rep = truncation_experiment(rho, lambda x: 0.0, [0, 1, 2], range(1, d))
+        for row in rep.rows:
+            r = row["r"]
+            exact = 3.0 * (q**r - q**d) / (1.0 - q**d)
+            assert abs(row["eps_r"] ** 2 / exact - 1.0) < 1e-12, r

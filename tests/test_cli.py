@@ -55,6 +55,16 @@ def test_reproducible_csv_bytes(tmp_path):
     assert (tmp_path / "a" / "er-reg.csv").read_bytes() == (tmp_path / "b" / "er-reg.csv").read_bytes()
 
 
+def test_er_reg_record_names_two_copy_start(tmp_path):
+    record = run(
+        {"command": "er-reg", "state": "fixture:bell", "seed": 0, "opts": {"max_iters": 20}},
+        out_dir=tmp_path,
+    )
+    extra = record["extra"]
+    assert extra["lift_exact"] is True and extra["lift_pairs"] >= 1
+    assert (tmp_path / "er-reg.csv").read_text().splitlines()[0] == "k,value,gap,iters"
+
+
 def test_gibbs_csv_bytes_reproducible(tmp_path):
     config = {"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [0.5, 1.0, 2.0]}
     run(dict(config), out_dir=tmp_path / "a")

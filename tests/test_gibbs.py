@@ -401,6 +401,26 @@ class TestReadmeEnvelope:
         assert sol.means[0] == pytest.approx(m1 / z, rel=1e-10)
 
 
+    def test_small_roots_take_few_moment_evaluations(self, monkeypatch):
+        # the roots of ranks 4-9 lie far below beta = 1 (8.7e-5 at rank 9);
+        # steps on ln(m - ground) against ln beta reach each within 11
+        # moment evaluations, where halving the bracket took up to 23
+        import qsep.spectra as spectra_mod
+
+        calls = []
+        moments = spectra_mod._gibbs_moments
+        monkeypatch.setattr(spectra_mod, "_gibbs_moments", lambda *a: calls.append(a[-1]) or moments(*a))
+        params, eps = readme_envelope()
+        for e in eps:
+            calls.clear()
+            target = ceiling_target(params, e)
+            sol = solve_beta_multi(list(params.hams), target)
+            # at rank 9 (target 1.2e6) the bracket width stops the search
+            assert abs(sol.mean_energy - target) <= max(ENERGY_TOL, 1e-13 * target)
+            assert len(calls) <= 11
+        assert sol.beta < 1e-4
+
+
 class TestSandwichChecks:
     def _samples(self, count=15):
         rng = np.random.default_rng(17)

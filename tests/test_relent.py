@@ -13,6 +13,7 @@ from qsep.relent import (
     Partition,
     SepAtom,
     SolverOpts,
+    _caratheodory,
     _corrective_pass,
     _golden,
     _lift_atoms_to_power,
@@ -674,17 +675,71 @@ class TestRegularized:
             rows = regularized_estimates(rho, k_max=2, opts=SolverOpts(max_iters=60))
             assert rows[1]["value"] <= rows[0]["value"] + 1e-6
 
-    def test_subadditivity_on_many_atom_state(self):
-        # a full-rank 2x2 Ginibre state whose one-copy solution has more
-        # than 20 atoms, so the two-copy warm start keeps only the 400
-        # heaviest of its pairs
+    def test_subadditivity_on_many_atom_state(self, monkeypatch):
+        # a full-rank 2x2 Ginibre state whose one-copy solution has far more
+        # than D^2 = 16 atoms: reduced to at most 16, all of their pairs fit
+        # LIFT_CAP, so the two-copy start is sigma x sigma itself
+        import qsep.relent as relent_mod
+
+        solved = []
+
+        def record(*args, **kwargs):
+            solved.append(relative_entropy_entanglement(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(relent_mod, "relative_entropy_entanglement", record)
         rng = np.random.default_rng([25, 2])
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = g @ g.conj().T
         m = m / np.trace(m).real
         rho = dop((2, 2), (m + m.conj().T) / 2)
         rows = regularized_estimates(rho, k_max=2, opts=SolverOpts(max_iters=150))
-        assert rows[1]["value"] <= rows[0]["value"] + 1e-6
+        assert rows[1]["value"] <= rows[0]["value"] + 1e-8
+        one = solved[0]
+        assert len(one.atoms) > 16
+        part = Partition.finest(2)
+        reduced = _caratheodory(one.atoms, rho.sig, part)
+        lifted = _lift_atoms_to_power(reduced, rho.sig, part)
+        assert rows[1]["lift_pairs"] == len(lifted) == len(reduced) ** 2
+        assert rows[1]["lift_exact"]
+        square = tensor_power_regrouped(one.sigma, 2)
+        assert np.abs(atom_mixture(lifted, square.sig, part) - square.mat).max() < 1e-12
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from([((2, 2), None), ((2, 3), None), ((3, 3), None), ((2, 3, 2), (((0, 2), (1,))))]),
+        extra=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_caratheodory_keeps_sigma(self, case, extra, seed):
+        dims, groups = case
+        sig = DimSig(dims)
+        part = Partition.finest(len(dims)) if groups is None else Partition(groups)
+        gdims = [int(np.prod([dims[s] for s in g])) for g in part.groups]
+        atoms = self.random_atoms(np.random.default_rng(seed), sig.total**2 + extra, gdims)
+        reduced = _caratheodory(atoms, sig, part)
+        assert len(reduced) <= sig.total**2
+        w = np.asarray([wt for wt, _ in reduced])
+        assert (w >= 0).all() and abs(w.sum() - 1.0) < 1e-12
+        inputs = {id(a) for _, a in atoms}
+        assert all(id(a) in inputs for _, a in reduced)
+        moved = atom_mixture(reduced, sig, part) - atom_mixture(atoms, sig, part)
+        assert np.abs(moved).max() <= 1e-13
+
+    def test_short_mixture_is_not_reduced(self):
+        atoms = self.random_atoms(np.random.default_rng(11), 16, (2, 2))
+        assert _caratheodory(atoms, DimSig((2, 2)), Partition.finest(2)) is atoms
+
+    @pytest.mark.parametrize("q, p, d", [(0.5, 0.3, 2), (0.3, 0.0, 2), (0.5, 0.3, 3)])
+    def test_two_copy_maximally_correlated_anchor(self, q, p, d):
+        # E_R is additive on maximally correlated states, so the per-copy
+        # two-copy value is the closed form; the warm start's 1e-8 uniform
+        # mix lifts it by a few 1e-9
+        a = geometric_correlation(q, p, d)
+        closed = maximally_correlated_er(a)
+        rows = regularized_estimates(maximally_correlated(a), k_max=2, opts=SolverOpts(max_iters=150))
+        assert closed - 1e-12 <= rows[1]["value"] <= closed + 1e-8
+        assert rows[1]["lift_exact"]
 
     def test_rows_are_per_copy(self, monkeypatch):
         import qsep.relent as relent_mod

@@ -8,6 +8,7 @@ from qsep.spectra import (
     DIVERGES,
     HEAD_N,
     INCONCLUSIVE,
+    T_CEIL,
     HamiltonianSpec,
     SpectrumFamily,
     build_fa_witness,
@@ -230,6 +231,57 @@ class TestWitness:
         w = build_fa_witness(fam)
         res = zeta_limit(w)
         assert abs(res.extrapolated - 1.0) < 0.05
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            SpectrumFamily.geometric(0.02),
+            SpectrumFamily.geometric(0.5),
+            SpectrumFamily.geometric(0.9),
+            SpectrumFamily.loglog(3, 3),
+        ],
+        ids=["geometric-0.02", "geometric-0.5", "geometric-0.9", "loglog-3-3"],
+    )
+    def test_boundaries_match_float_bisection(self, fam):
+        # the integer search must return the index midpoints that 80 float
+        # bisection steps in t = ln n, snapped up to the first index past the
+        # target, return: same bounds and energy, bit for bit
+        def tail_ln2(t):
+            return fam.weighted_tail_from(2.0, math.floor(math.exp(min(t, T_CEIL))))
+
+        def boundary_for(target, t_lo):
+            lo, hi = t_lo, T_CEIL
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if tail_ln2(mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            if hi < math.log(1e15):
+                n = math.floor(math.exp(hi))
+                while tail_ln2(math.log(n + 0.5)) > target:
+                    n += 1
+                return math.log(n + 0.5)
+            return hi
+
+        total = tail_ln2(0.0)
+        halving = 1.05 if boundary_for(total * 0.125, 0.0) > 100.0 else 2.0
+        bounds, tails, t_lo = [], [total], 0.0
+        for k in range(1, 201):
+            target = total * halving**-k
+            if target < total * 1e-16 or t_lo >= T_CEIL:
+                break
+            if tail_ln2(T_CEIL) > target:
+                bounds.append(T_CEIL)
+                tails.append(tail_ln2(T_CEIL))
+                break
+            t_lo = boundary_for(target, t_lo)
+            bounds.append(t_lo)
+            tails.append(tail_ln2(t_lo))
+        energy = sum(k * (tails[k - 1] - tails[k]) for k in range(1, len(tails))) + len(tails) * tails[-1]
+        w = build_fa_witness(fam)
+        assert w.block_bounds_t == tuple(bounds)
+        assert w.energy == energy
 
     def test_no_witness_for_failing_family(self):
         with pytest.raises(ValueError, match="no witness"):
