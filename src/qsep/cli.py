@@ -29,7 +29,7 @@ from .approx import BoundTemplate, qmi_function, truncation_experiment
 from .entropy import mutual_information, von_neumann_entropy
 from .fixtures import FIXTURE_VERSION, FIXTURES, get_fixture
 from .gibbs import solve_beta
-from .qmat import DensityOp, load_state, partial_trace, random_density, random_pure, top_projector
+from .qmat import DensityOp, eigh, hermitian_part, load_state, partial_trace, random_density, random_pure
 from .relent import (
     Partition,
     SolverOpts,
@@ -263,13 +263,12 @@ def _cmd_er_energy(config: dict):
 def _cmd_fda(config: dict):
     rho = resolve_state(_require(config, "state"))
     rank_grid = [int(r) for r in _require(config, "rank_grid", list)]
-    steps = []
-    for r in rank_grid:
-        projs = {}
-        for s in range(rho.sig.nsys):
-            marg = partial_trace(rho, [s])
-            projs[s] = top_projector(marg, min(r, marg.dim))
-        steps.append(projs)
+    if any(r < 1 for r in rank_grid):
+        raise ConfigError(f"config field 'rank_grid' needs ranks >= 1, got {rank_grid}")
+    # one eigenbasis per marginal; rank r projects onto its first r columns
+    # (all of them past the marginal's dimension), as top_projector does
+    bases = [eigh(partial_trace(rho, [s]).mat).eigenvectors for s in range(rho.sig.nsys)]
+    steps = [{s: hermitian_part(v[:, :r] @ v[:, :r].conj().T) for s, v in enumerate(bases)} for r in rank_grid]
     m_grid = [int(m) for m in config.get("m_grid", [rho.sig.nsys])]
     rows_d = truncation_limit_experiment(rho, steps, m_grid, _solver_opts(config))
     rows = []

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .entropy import _eta_sum, binary_entropy, g_entropy, von_neumann_entropy
 from .qmat import DensityOp, DimSig, partial_trace
+from .spectra import _level_moments
 
 ENERGY_TOL = 1e-10
 MEMBERSHIP_SLACK = 1e-8
@@ -69,16 +71,7 @@ def _source(h, dim: int | None) -> _Source:
     if _is_source(h) and dim is None and h.finite_dim is None:
         return _Source(float(h.values(1)[0]), math.inf, h.gibbs_moments, None)
     lv = _levels_of(h, dim)
-    s = lv - lv[0]
-
-    def moments(beta: float) -> tuple[float, float, float]:
-        w = np.exp(-beta * s)
-        z = float(w.sum())
-        m1 = float(np.dot(w, s)) / z
-        w *= s
-        return math.log(z), m1, max(0.0, float(np.dot(w, s)) / z - m1 * m1)
-
-    return _Source(float(lv[0]), float(lv.mean()), moments, lv)
+    return _Source(float(lv[0]), float(lv.mean()), partial(_level_moments, lv - lv[0]), lv)
 
 
 @dataclass(frozen=True)

@@ -268,9 +268,8 @@ class EnergyConstraint:
             vals = np.asarray(h.values(sig.dims[s]) if _is_source(h) else h, dtype=float)
             if vals.shape != (sig.dims[s],):
                 raise ValueError(f"local Hamiltonian {s} has {vals.size} levels, need {sig.dims[s]}")
-            before = int(np.prod(sig.dims[:s])) if s else 1
-            after = int(np.prod(sig.dims[s + 1 :])) if s + 1 < sig.nsys else 1
-            total += np.kron(np.kron(np.ones(before), vals), np.ones(after))
+            before = int(np.prod(sig.dims[:s]))
+            total = (total.reshape(before, sig.dims[s], -1) + vals[:, None]).reshape(-1)
         return total
 
 
@@ -296,11 +295,11 @@ class ERSolution:
 
 
 def _objective(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
-    """D(rho || sigma) for one sigma (D, D), or one value per sigma of a stack (C, D, D)."""
+    """D(rho || sigma), with sigma's eigenvalues clipped at LOG_FLOOR."""
     ws, vs = np.linalg.eigh(hermitian_part(sigma_mat))
     ws = np.maximum(ws, LOG_FLOOR)
-    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=-2))
-    return tr_rho_ln_rho - (weights * np.log(ws)).sum(axis=-1)
+    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=0))
+    return tr_rho_ln_rho - (weights * np.log(ws)).sum()
 
 
 def _spectral_terms(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
@@ -349,52 +348,29 @@ def _golden(h, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _golden_lockstep(h, hi: np.ndarray) -> np.ndarray:
-    """`_golden` on [0, hi_k] for several convex functions at once.
-
-    h maps a vector of points, one per function, to their values; the
-    bracket updates are `_golden`'s, taken elementwise, so every minimizer
-    equals the scalar search's bit for bit."""
-    a, b = np.zeros_like(hi), hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = h(c), h(d)
-    for _ in range(LINE_ITERS):
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = h(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)
-
-
 def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho):
     """Exact line search of D(rho || (1 - t) sigma + t |v><v|) on [0, t_max]
-    for each candidate row v of vecs: (t*, value at t*) arrays.
+    for each candidate row v of vecs: (t*, value at t*) arrays, each from
+    `_golden` on the candidate's own segment.
 
-    Several candidates step in lockstep, one stacked evaluation per step.
-    A single candidate (every unconstrained iteration) keeps the scalar
-    search: a stack of one costs more than the plain matrices. Run through
-    `_golden_lockstep`, a single candidate gives bit-identical outputs but
-    costs 1.71x, 1.48x, 1.31x and 1.26x the scalar search at D = 4, 9, 16
-    and 81 (one BLAS thread, median of 7 runs)."""
-    if len(vecs) == 1:
-        direction = np.outer(vecs[0], vecs[0].conj())
+    A row that repeats an earlier row and its t_max bit for bit copies that
+    search: on a diagonal problem the oracle returns the same basis vector
+    for most multipliers (27 of the classical pair's 29 candidates)."""
+    t_stars, vals = np.empty(len(vecs)), np.empty(len(vecs))
+    searched: dict = {}
+    for k, vec in enumerate(vecs):
+        first = searched.setdefault((vec.tobytes(), float(t_max[k])), k)
+        if first != k:
+            t_stars[k], vals[k] = t_stars[first], vals[first]
+            continue
+        direction = np.outer(vec, vec.conj())
 
         def h(t):
             return _objective(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
 
-        t_star = _golden(h, 0.0, float(t_max[0]))
-        return np.array([t_star]), np.array([h(t_star)])
-    directions = vecs[:, :, None] * vecs.conj()[:, None, :]
-
-    def h_stack(t):
-        s = t.astype(complex)[:, None, None]
-        return _objective(rho_mat, (1.0 - s) * sigma + s * directions, tr_rho_ln_rho)
-
-    t_star = _golden_lockstep(h_stack, t_max)
-    return t_star, h_stack(t_star)
+        t_stars[k] = _golden(h, 0.0, float(t_max[k]))
+        vals[k] = h(t_stars[k])
+    return t_stars, vals
 
 
 def _mixture(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -107,6 +107,16 @@ def _gibbs_moments(head: np.ndarray, blocks, beta: float) -> tuple[float, float,
     return scale + math.log(z), mean, max(0.0, m2 / z - mean * mean)
 
 
+def _level_moments(s: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """ln Z, mean and variance of the Gibbs weights e^{-beta s_i} of a finite
+    level array shifted to its ground, s_1 = 0, so that Z >= 1 at any beta."""
+    w = np.exp(-beta * s)
+    z = float(w.sum())
+    m1 = float(np.dot(w, s)) / z
+    w *= s
+    return math.log(z), m1, max(0.0, float(np.dot(w, s)) / z - m1 * m1)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian families
 # ---------------------------------------------------------------------------
@@ -186,26 +196,28 @@ class HamiltonianSpec:
         return self.a * np.log(np.arange(1, WITNESS_HEAD_N + 1, dtype=float)) ** self.p
 
     def gibbs_moments(self, beta: float) -> tuple[float, float, float]:
-        """ln Z, mean and variance of the weights e^{-beta (h_i - h_1)} of an
-        infinite H at beta > 0: the closed geometric series for linear, an
-        exact head plus one integral block for logpow (all inf when divergent)."""
+        """ln Z, mean and variance of the weights e^{-beta (h_i - h_1)} at
+        beta > 0: direct sums for explicit, the closed geometric series for
+        linear, an exact head plus one integral block for logpow (all inf
+        when divergent)."""
+        if self.kind == "explicit":
+            lv = np.asarray(self.levels, dtype=float)
+            return _level_moments(lv - lv[0], beta)
         if self.kind == "linear":
             mean = self.w / math.expm1(beta * self.w)
             return -math.log(-math.expm1(-beta * self.w)), mean, mean * (mean + self.w)
         if self.kind != "logpow":
-            raise ValueError(f"gibbs_moments needs an infinite Hamiltonian, got kind {self.kind!r}")
+            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
         if self.diverges_at(beta):
             return math.inf, math.inf, math.inf
         return _gibbs_moments(self._head, [(0.0, math.inf, self.a, self.p)], beta)
 
     def log_partition_value(self, beta: float) -> float:
-        """ln Tr e^{-beta H} with integral tail correction; inf when divergent."""
+        """ln Tr e^{-beta H} = -beta h_1 + ln Z of the ground-shifted levels,
+        with integral tail correction; inf when divergent."""
         if beta <= 0:
             raise ValueError("partition function needs beta > 0")
-        if self.kind == "explicit":
-            base = np.asarray(self.levels, dtype=float)
-            return -beta * self.offset + math.log(float(np.exp(-beta * base).sum()))
-        return -beta * self.offset + self.gibbs_moments(beta)[0]
+        return -beta * self.ground() + self.gibbs_moments(beta)[0]
 
     def partition_value(self, beta: float) -> float:
         """Tr e^{-beta H}; inf when divergent or beyond float range."""
@@ -285,11 +297,13 @@ class SpectrumFamily:
     def gibbs_of(ham: HamiltonianSpec, beta: float) -> "SpectrumFamily":
         if beta <= 0:
             raise ValueError("gibbs spectrum needs beta > 0")
-        z = ham.partition_value(beta)
-        if math.isinf(z):
+        # the raw terms e^{-beta (h_i - h_1)} start at 1, so neither they nor
+        # their sum under- or overflow with the ground level
+        log_z = ham.gibbs_moments(beta)[0]
+        if math.isinf(log_z):
             raise ValueError("partition function diverges; no Gibbs spectrum at this beta")
         fam = SpectrumFamily(kind="gibbs", beta=float(beta), ham=ham)
-        return fam._with_norm(1.0 / z)
+        return fam._with_norm(math.exp(-log_z))
 
     # -- normalization ------------------------------------------------
 
@@ -322,10 +336,10 @@ class SpectrumFamily:
             if self.kind == "explicit":
                 out[: head.size] = np.asarray(self.values_list)[head.astype(int) - 1]
             else:
-                out[: head.size] = np.exp(-self.beta * self.ham.level(head))
+                out[: head.size] = np.exp(-self.beta * (self.ham.level(head) - self.ham.ground()))
             return out
         if self.kind == "gibbs":
-            return np.exp(-self.beta * self.ham.level(i))
+            return np.exp(-self.beta * (self.ham.level(i) - self.ham.ground()))
         j = np.maximum(i, float(self.i0))
         if self.kind == "powlog":
             return 1.0 / (j * np.log(j) ** self.q)
@@ -393,13 +407,11 @@ class SpectrumFamily:
             return self._scalar_tail_sum(n, k, self.q)
         if self.kind == "gibbs":
             if self.ham.kind == "linear":
-                return self._scalar_tail_sum(n, k, math.exp(-self.beta * self.ham.w)) * math.exp(
-                    -self.beta * self.ham.offset
-                )
+                return self._scalar_tail_sum(n, k, math.exp(-self.beta * self.ham.w))
             if self.ham.diverges_at(self.beta):
                 return math.inf
             ref, t, e = _block_quadrature(self.beta, t0, math.inf, self.ham.a, self.ham.p)
-            return math.exp(ref - self.beta * self.ham.offset) * float(e @ t**k)
+            return math.exp(ref) * float(e @ t**k)
         # powlog / loglog: integral of u^{k-q} (ln u)^{-p} du over (t0, inf)
         q = self.q
         p = self.p if self.kind == "loglog" else 0.0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qsep.cli import ConfigError, main, run
-from qsep.fixtures import FIXTURES, get_fixture
-from qsep.qmat import load_state, save_state
+from qsep.entropy import von_neumann_entropy
+from qsep.fixtures import FIXTURES, geometric_correlation, get_fixture
+from qsep.qmat import DensityOp, DimSig, load_state, save_state
 
 
 def test_list_fixtures_and_version(capsys):
@@ -207,6 +208,23 @@ def test_er_energy_and_fda_commands(tmp_path):
     assert rec["cells"] == 2
 
 
+def test_fda_rows_meet_maximally_correlated_closed_forms(tmp_path):
+    # the top-r marginal compression of maxcorr-3x3 is maximally correlated
+    # with the leading r x r block a_r of its matrix, renormalized, so row k
+    # (rank k + 1) has E_R = S(diag a_r) - S(a_r)
+    rec = run(
+        {"command": "fda", "state": "fixture:maxcorr-3x3", "seed": 0, "rank_grid": [1, 2, 3], "opts": {"max_iters": 50}},
+        out_dir=tmp_path,
+    )
+    a = geometric_correlation(0.5, 0.3, 3)
+    rows = rec["csv"]["rows"]
+    assert [row[0] for row in rows] == [0, 1, 2]
+    for r, (_, _, _, value, gap, _) in enumerate(rows, start=1):
+        a_r = a[:r, :r] / np.trace(a[:r, :r]).real
+        eta = [-x * math.log(x) for x in np.diag(a_r).real]
+        closed = sum(eta) - von_neumann_entropy(DensityOp(DimSig((r,)), a_r))
+        assert abs(value - closed) <= 1e-12
+        assert value - gap <= closed + 1e-9
 @pytest.mark.parametrize(
     "config, field",
     [

@@ -194,7 +194,7 @@ class TestProductLmo:
             assert float(res.values[b]).hex() == float(np.real(vec.conj() @ g @ vec)).hex()
 
 class TestLineSearch:
-    def test_lockstep_matches_scalar_golden(self):
+    def test_each_candidate_matches_scalar_golden(self):
         sig = DimSig((2, 3))
         rho = random_density((2, 3), 6, seed=4)
         sigma = 0.5 * random_separable((2, 3), 5, seed=6).mat + 0.5 * np.eye(6) / 6
@@ -218,6 +218,26 @@ class TestLineSearch:
         t_one, val_one = _line_search(rho.mat, sigma, vecs[1:2], t_max[1:2], tr_rho_ln_rho)
         assert (float(t_one[0]).hex(), float(val_one[0]).hex()) == (float(t_stars[1]).hex(), float(vals[1]).hex())
 
+    def test_repeated_row_copies_its_search(self, monkeypatch):
+        import qsep.relent as relent_mod
+
+        sig = DimSig((2, 2))
+        rho = random_density((2, 2), 4, seed=8)
+        sigma = random_separable((2, 2), 6, seed=9).mat
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        rng = np.random.default_rng(10)
+        v0, v1 = (atom_vector(SepAtom((unit(rng, 2), unit(rng, 2))), sig, Partition.finest(2)) for _ in range(2))
+        # row 2 repeats row 0 and its t_max; row 3 repeats the vector on a shorter segment
+        vecs, t_max = np.stack([v0, v1, v0, v0]), np.array([0.8, 1.0, 0.8, 0.3])
+        want = [_line_search(rho.mat, sigma, vecs[k : k + 1], t_max[k : k + 1], tr_rho_ln_rho) for k in range(4)]
+        searches = []
+        golden = relent_mod._golden
+        monkeypatch.setattr(relent_mod, "_golden", lambda h, lo, hi: searches.append(hi) or golden(h, lo, hi))
+        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho)
+        assert searches == [0.8, 1.0, 0.3]
+        assert t_stars.tobytes() == np.concatenate([t for t, _ in want]).tobytes()
+        assert vals.tobytes() == np.concatenate([v for _, v in want]).tobytes()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
@@ -236,7 +256,7 @@ class TestLineSearch:
         obj, g_mat = _obj_and_grad(rho.mat, sigma, tr_rho_ln_rho)
         v = np.linalg.eigh(g_mat)[1][:, -1]
         assert np.real(v.conj() @ g_mat @ v) >= np.real(np.trace(g_mat @ sigma))
-        # one candidate takes the scalar search, two the lockstep one
+        # one candidate or two, each takes the same scalar search
         for vecs, t_maxs in ((v[None], [t_max]), (np.stack([v, v]), [t_max, 1.0])):
             _, vals = _line_search(rho.mat, sigma, vecs, np.array(t_maxs), tr_rho_ln_rho)
             assert vals.min() >= obj - 1e-15
@@ -520,6 +540,23 @@ class TestEnergyConstrained:
             rho, None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=0.0)
         )
         assert sol.value <= 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3), (2, 2, 2), (4,), (2, 5, 3, 2)])
+    def test_diagonal_matches_kronecker_sum(self, dims):
+        # sum_s 1 x ... x h_s x ... x 1, added subsystem by subsystem in the
+        # same order, so the broadcast sum must equal it byte for byte
+        rng = np.random.default_rng(len(dims))
+        # odd subsystems get unsorted raw arrays, even ones explicit specs
+        hams = [
+            rng.standard_normal(d) * 3.0 if s % 2 else HamiltonianSpec.explicit(np.sort(rng.random(d)), 0.25)
+            for s, d in enumerate(dims)
+        ]
+        want = np.zeros(int(np.prod(dims)))
+        for s, h in enumerate(hams):
+            vals = h.values(dims[s]) if isinstance(h, HamiltonianSpec) else h
+            want += np.kron(np.kron(np.ones(int(np.prod(dims[:s]))), vals), np.ones(int(np.prod(dims[s + 1 :]))))
+        got = EnergyConstraint(hams=tuple(hams), E=1.0).diagonal(DimSig(dims))
+        assert got.tobytes() == want.tobytes()
 
     def test_infeasible_energy(self):
         with pytest.raises(ValueError, match="infeasible"):

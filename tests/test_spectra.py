@@ -171,6 +171,26 @@ def test_logpow_divergence_rule_is_shared():
     assert SpectrumFamily.gibbs_of(h, beta).classify_weighted(0.0) == CONVERGES
 
 
+class TestHighGroundLevel:
+    """Gibbs sums are taken on ground-shifted levels, so a ground level far
+    above 1/beta underflows neither Z nor the spectrum."""
+
+    def test_explicit_log_partition(self):
+        assert HamiltonianSpec.explicit([5.0, 6.0]).log_partition_value(200.0) == pytest.approx(-1000.0, rel=1e-15)
+
+    def test_explicit_gibbs_spectrum(self):
+        fam = SpectrumFamily.gibbs_of(HamiltonianSpec.explicit([800.0, 801.0]), 1.0)
+        want = np.array([1.0, math.exp(-1.0)]) / (1.0 + math.exp(-1.0))
+        np.testing.assert_allclose(fam.lam([1, 2]), want, rtol=1e-14)
+        assert fam.partial_weight(2) == pytest.approx(1.0, rel=1e-15)
+
+    def test_linear_gibbs_spectrum_with_offset(self):
+        fam = SpectrumFamily.gibbs_of(HamiltonianSpec.linear(1.0, offset=800.0), 1.0)
+        q = math.exp(-1.0)
+        np.testing.assert_allclose(fam.lam([1, 2]), [1.0 - q, (1.0 - q) * q], rtol=1e-14)
+        assert fam.tail_weight(1) == pytest.approx(q, rel=1e-12)
+
+
 class TestZetaLimit:
     def test_lncube_extrapolates_to_one(self):
         res = zeta_limit(HamiltonianSpec.logpow(1, 3))
