@@ -214,6 +214,7 @@ def _cmd_er(config: dict):
             "gap_semantics": "heuristic (oracle is approximate)",
             "iterations": sol.iterations,
             "converged": sol.converged,
+            "status": sol.status,
             "lmo_spread": sol.lmo_spread,
             "atoms": atoms,
         }

@@ -223,8 +223,9 @@ def solve_beta(h, E: float, dim: int | None = None) -> GibbsSolution:
 
 
 def max_entropy(h, E: float, dim: int | None = None) -> float:
-    """Largest entropy among states with mean energy at most E (truncated to dim if given)."""
-    return solve_beta(h, E, dim).entropy
+    """Largest entropy among states with mean energy at most E (truncated to
+    dim if given), in the form of `max_entropy_multi`."""
+    return max_entropy_multi([h], E, [dim])
 
 
 @dataclass(frozen=True)
@@ -244,15 +245,9 @@ class MultiGibbsSolution:
         return float(sum(self.means))
 
 
-def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> MultiGibbsSolution:
-    """Common-beta product Gibbs solution with summed mean energy E.
-
-    The entropy maximizer under a joint linear energy constraint is a
-    product of Gibbs states sharing one inverse temperature, so a single
-    scalar root-find on the summed mean-energy curve suffices. Equal
-    level sources with equal dims, and a raw array listed more than once,
-    share one set of moments, evaluated once per beta.
-    """
+def _sources(hams: list, dims: list[int] | None) -> list[_Source]:
+    """One _Source per Hamiltonian, equal level sources with equal dims and
+    a raw array listed more than once sharing one object."""
     if dims is None:
         dims = [None] * len(hams)
     if len(dims) != len(hams):
@@ -265,6 +260,19 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
         if key not in seen:
             seen[key] = _source(h, d)
         sources.append(seen[key])
+    return sources
+
+
+def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> MultiGibbsSolution:
+    """Common-beta product Gibbs solution with summed mean energy E.
+
+    The entropy maximizer under a joint linear energy constraint is a
+    product of Gibbs states sharing one inverse temperature, so a single
+    scalar root-find on the summed mean-energy curve suffices. Equal
+    level sources with equal dims, and a raw array listed more than once,
+    share one set of moments, evaluated once per beta.
+    """
+    sources = _sources(hams, dims)
     beta = _common_beta(sources, E)
     terms: dict[int, tuple[float, float]] = {}
     for src in sources:
@@ -275,8 +283,19 @@ def solve_beta_multi(hams: list, E: float, dims: list[int] | None = None) -> Mul
 
 
 def max_entropy_multi(hams: list, E: float, dims: list[int] | None = None) -> float:
-    """Largest total entropy under a summed mean-energy budget E."""
-    return solve_beta_multi(hams, E, dims).entropy
+    """Largest total entropy under a summed mean-energy budget E.
+
+    At a root 0 < beta < inf this is the Legendre value beta (E - ground)
+    + sum ln Z(beta) of the ground-shifted levels, which bounds the ceiling
+    from above at any beta and errs to second order in the error of beta;
+    at beta = 0 or inf it is the Gibbs state's entropy.
+    """
+    sources = _sources(hams, dims)
+    beta = _common_beta(sources, E)
+    if not 0.0 < beta < math.inf:
+        return solve_beta_multi(hams, E, dims).entropy
+    log_z = {id(src): src.moments(beta)[0] for src in sources}
+    return beta * (E - sum(src.ground for src in sources)) + sum(log_z[id(src)] for src in sources)
 
 
 def check_asymptotic_condition(h, which: str, e_grid, dim: int | None = None) -> dict:

@@ -41,9 +41,10 @@ from .qmat import (
 
 # fixed solver constants: alternating sweeps per oracle call, golden-section
 # steps per line search, corrective-pass evaluations per iteration, the weight
-# below which an atom is dropped, the stall test (no objective descent
-# beyond STALL_TOL over STALL_WINDOW iterations) and the number of atom pairs
-# kept by the two-copy warm start
+# below which an atom is dropped, the stall test for slow descent (no
+# objective descent beyond STALL_TOL over STALL_WINDOW iterations; a solve
+# also stalls at its first iteration that leaves sigma unchanged) and the
+# number of atom pairs kept by the two-copy warm start
 LMO_SWEEPS = 50
 LINE_ITERS = 48
 POLISH_ITERS = 30
@@ -279,7 +280,8 @@ class ERSolution:
 
     `gap` is the last conditional-gradient gap (Lagrangian under an energy
     cap); with a heuristic atom oracle it is a diagnostic, not a proven
-    suboptimality bound.
+    suboptimality bound. `status` says why the solve stopped: "gap-tol",
+    "stalled" or "max-iters".
     """
 
     value: float
@@ -288,6 +290,7 @@ class ERSolution:
     atoms: list
     iterations: int
     converged: bool
+    status: str
     lmo_spread: float = 0.0
 
     def weights(self) -> np.ndarray:
@@ -477,8 +480,14 @@ def relative_entropy_entanglement(
     with <v|G|v> < Tr G sigma, are line-searched. The gap is Lagrangian:
     Tr G sigma - max_mu (min <G + mu H> - mu E) over the multipliers,
     which under no cap is the plain conditional-gradient gap.
-    Non-convergence returns the best iterate with converged=False rather
-    than raising.
+
+    `status` is "gap-tol" once the gap is at most tol; "stalled" at the
+    first iteration whose sigma (after the corrective pass, pruning and
+    renormalization) equals the last bit for bit, or when the objective
+    fell by at most STALL_TOL over STALL_WINDOW iterations; else
+    "max-iters". One more oracle call at the final sigma gives the
+    reported gap, and `converged` is "gap-tol" or that gap <= tol.
+    Non-convergence returns the last iterate rather than raising.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -546,7 +555,7 @@ def relative_entropy_entanglement(
 
     sigma = _mixture(w, vecs)
     spread = 0.0
-    converged = False
+    status = "max-iters"
     obj_history: list[float] = []
     best_lower = -math.inf
 
@@ -566,7 +575,7 @@ def relative_entropy_entanglement(
         spread = max(spread, float(cands.spreads[0]))
         best_lower = max(best_lower, obj - gap)
         if gap <= opts.tol:
-            converged = True
+            status = "gap-tol"
             break
         # clip each candidate's step to the feasible segment
         e_sigma = float((np.abs(np.diag(sigma)) * h_diag).sum())
@@ -601,15 +610,20 @@ def relative_entropy_entanglement(
         keep = w > PRUNE_TOL
         w, vecs, factors = w[keep], vecs[keep], [f[keep] for f in factors]
         w = w / w.sum()
-        sigma = _mixture(w, vecs)
+        previous, sigma = sigma, _mixture(w, vecs)
+        if np.array_equal(sigma, previous):
+            # G and the corrective pass are deterministic in sigma, so every
+            # later iteration would repeat this one but for the oracle's
+            # random restarts
+            status = "stalled"
+            break
         obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
         obj_history.append(obj)
-        if len(obj_history) > STALL_WINDOW:
-            # the heuristic gap can lag far behind the objective; stop once
-            # the value itself has stopped moving
-            if obj_history[-STALL_WINDOW - 1] - obj <= STALL_TOL:
-                converged = gap <= opts.tol
-                break
+        # the heuristic gap can lag far behind the objective; stop once the
+        # value itself has stopped moving
+        if len(obj_history) > STALL_WINDOW and obj_history[-STALL_WINDOW - 1] - obj <= STALL_TOL:
+            status = "stalled"
+            break
 
     # refresh the certificate with a fresh linearization, then report the
     # gap against the best lower bound seen anywhere on the trajectory
@@ -620,14 +634,14 @@ def relative_entropy_entanglement(
     sigma_op = DensityOp(rho.sig, sigma)
     value = relative_entropy(rho, sigma_op)
     gap = max(0.0, float(value) - best_lower)
-    converged = converged or gap <= opts.tol
     return ERSolution(
         value=float(value),
         gap=float(gap),
         sigma=sigma_op,
         atoms=[(wt, SepAtom(f)) for wt, f in zip(w, zip(*factors))],
         iterations=iterations,
-        converged=converged,
+        converged=status == "gap-tol" or gap <= opts.tol,
+        status=status,
         lmo_spread=spread,
     )
 
@@ -645,7 +659,7 @@ def energy_sweep(
     again since the cap only loosens), which makes the reported values
     nonincreasing in E up to solver tolerance. A cap at or above the
     largest product energy is solved uncapped; only descending candidates
-    are line-searched.
+    are line-searched. Each row carries its solve's `status`.
     """
     e_grid = [float(e) for e in e_grid]
     if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
@@ -655,7 +669,7 @@ def energy_sweep(
     for e in e_grid:
         cap = EnergyConstraint(hams=tuple(hams), E=e)
         sol = relative_entropy_entanglement(rho, partition, opts, initial_atoms=warm, constraint=cap)
-        rows.append({"E": e, "value": sol.value, "gap": sol.gap, "iters": sol.iterations})
+        rows.append({"E": e, "value": sol.value, "gap": sol.gap, "iters": sol.iterations, "status": sol.status})
         warm = sol.atoms
     return rows
 
@@ -767,7 +781,8 @@ def regularized_estimates(
     atoms, squared; its row adds `lift_pairs`, the number of atom pairs in
     that start, and `lift_exact`, whether they are all the pairs, so that
     the start is sigma x sigma. For D <= 4 every pair fits LIFT_CAP, and
-    only pairs below weight 1e-12 can be dropped. k_max is 1 or 2.
+    only pairs below weight 1e-12 can be dropped. Each row carries its
+    solve's `status`. k_max is 1 or 2.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -781,7 +796,7 @@ def regularized_estimates(
         warm = _lift_atoms_to_power(one, rho.sig, partition)
         sols.append(relative_entropy_entanglement(tensor_power_regrouped(rho, 2), partition, opts, initial_atoms=warm))
     rows = [
-        {"k": k, "value": sol.value / k, "raw_value": sol.value, "gap": sol.gap / k, "iters": sol.iterations}
+        dict(k=k, value=sol.value / k, raw_value=sol.value, gap=sol.gap / k, iters=sol.iterations, status=sol.status)
         for k, sol in enumerate(sols, start=1)
     ]
     if k_max == 2:

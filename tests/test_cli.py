@@ -41,6 +41,10 @@ def test_er_on_bell_file(tmp_path):
     assert abs(sol["value"] - math.log(2)) < 1e-3
     assert sol["atoms"]
     assert {"value", "gap", "iterations", "converged"} <= set(sol)
+    # iteration 2 rebuilds the sigma of iteration 1; the CSV has no status column
+    on_disk = json.loads((tmp_path / "out" / "record.json").read_text())["extra"]["solution"]
+    assert sol["status"] == on_disk["status"] == "stalled"
+    assert (tmp_path / "out" / "er.csv").read_text().splitlines()[0] == "value,gap,iters,converged"
 
 
 def test_reproducible_csv_bytes(tmp_path):

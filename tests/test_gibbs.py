@@ -184,6 +184,15 @@ class TestMaxEntropy:
     def test_ground_energy_zero_entropy(self):
         assert abs(max_entropy(QUBIT, 0.0)) < 1e-12
 
+    @pytest.mark.parametrize("energy", [0.01, 1.0, 100.0])
+    def test_linear_ceiling_in_legendre_form(self, energy):
+        # F = g(E) for H = i - 1. The Gibbs state's entropy at the root read
+        # -3.9e-11 relative at E = 0.01 and +1.9e-11 at E = 1; the Legendre
+        # value beta (E - ground) + ln Z errs only to second order in beta
+        g = g_entropy(energy)
+        assert abs(max_entropy(LINEAR, energy) - g) <= 1e-15 * g
+        assert abs(max_entropy_multi([LINEAR, LINEAR], 2.0 * energy) - 2.0 * g) <= 2e-15 * g
+
     @pytest.mark.parametrize(
         "ham,dim",
         [(QUBIT, None), (LINEAR, 256), (HamiltonianSpec.logpow(4, 2), 256)],

@@ -448,6 +448,60 @@ class TestSolverCore:
             relative_entropy_entanglement(bell_state(), None, SolverOpts(max_iters=5), initial_atoms=atoms)
 
 
+class TestStopStatus:
+    """Why a solve stopped. Values are pinned to the last bit where the stop
+    at the first unchanged sigma ends the solve before the 20-iteration
+    stall test did: both stops leave the same sigma."""
+
+    def test_pure_state_ends_at_gap_tol(self):
+        sol = relative_entropy_entanglement(random_pure((3, 3), seed=0))
+        assert (sol.status, sol.converged) == ("gap-tol", True)
+
+    def test_iteration_budget_ends_at_max_iters(self):
+        sol = relative_entropy_entanglement(random_density((2, 2), 4, seed=1), None, SolverOpts(max_iters=5))
+        assert (sol.status, sol.iterations, sol.converged) == ("max-iters", 5, False)
+
+    def test_bell_stalls_at_first_unchanged_sigma(self, monkeypatch):
+        # iteration 1 steps to ln 2; iteration 2 rebuilds the same sigma,
+        # which is not evaluated again
+        import qsep.relent as relent_mod
+
+        sigmas = []
+        obj_and_grad = relent_mod._obj_and_grad
+
+        def record_sigma(rho_mat, sigma, tr_rho_ln_rho):
+            sigmas.append(sigma)
+            return obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
+
+        monkeypatch.setattr(relent_mod, "_obj_and_grad", record_sigma)
+        sol = relative_entropy_entanglement(bell_state())
+        assert (sol.status, sol.iterations) == ("stalled", 2)
+        assert sol.value == float.fromhex("0x1.62e42fefa39f2p-1")
+        assert len(sigmas) == 2 and not np.array_equal(sigmas[0], sigmas[1])
+        assert np.array_equal(sol.sigma.mat, sigmas[1])
+
+    @pytest.mark.parametrize(
+        "name, value, iterations",
+        [("bell", "0x1.338891710e1f7p+0", 2), ("w3", "0x1.1a742d2633f22p+0", 8)],
+        ids=["bell", "w3"],
+    )
+    def test_capped_stall_keeps_value(self, name, value, iterations):
+        rho = get_fixture(name)
+        cap = EnergyConstraint(hams=(QUBIT_H,) * rho.sig.nsys, E=0.5)
+        sol = relative_entropy_entanglement(rho, None, SolverOpts(max_iters=150), constraint=cap)
+        assert (sol.status, sol.iterations, sol.converged) == ("stalled", iterations, False)
+        assert sol.value == float.fromhex(value)
+
+    def test_descending_solve_keeps_value_and_iterations(self):
+        # the benchmark's isotropic 2x2 F = 0.8 anchor never repeats a sigma
+        phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+        p = np.outer(phi, phi.conj())
+        rho = dop((2, 2), 0.8 * p + (1.0 - 0.8) / 3 * (np.eye(4) - p))
+        sol = relative_entropy_entanglement(rho, None, SolverOpts(max_iters=150))
+        assert (sol.status, sol.iterations) == ("gap-tol", 25)
+        assert sol.value == float.fromhex("0x1.8abdc36a341b8p-3")
+
+
 def shannon(p) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 1e-300]
@@ -633,6 +687,7 @@ class TestEnergyConstrained:
         for row, (constraint, sol) in zip(rows, solved):
             assert row["value"] >= -1e-9
             assert constraint.E == row["E"]
+            assert row["status"] == sol.status
             assert sigma_energy(sol, constraint, bell.sig) <= row["E"] + 1e-9
 
     def test_lagrangian_gap_bounds_capped_optimum(self):
@@ -678,7 +733,9 @@ class TestEnergyConstrained:
         assert np.abs(np.abs(vecs0[1:].conj() @ basis.T) ** 2 - np.eye(4)).max() < 1e-12
         assert (np.abs(basis) ** 2).max() < 0.99  # no start atom is one-hot
         assert w0 @ (np.abs(vecs0) ** 2 @ h_diag) <= cap + 1e-9
-        assert len(sigmas) >= 3
+        # distinct iterates, not gradient calls: the cap-0.6 solve stops at
+        # its first unchanged sigma
+        assert len({sigma.tobytes() for sigma in sigmas}) == {0.3: 3, 0.6: 2}[cap]
         for sigma in sigmas:
             assert float(h_diag @ np.real(np.diag(sigma))) <= cap + 1e-9
         assert sigma_energy(sol, constraint, rho.sig) <= cap + 1e-9
@@ -794,6 +851,7 @@ class TestRegularized:
             assert row["value"] == sol.value / k
             assert row["gap"] == sol.gap / k
             assert row["raw_value"] == sol.value
+            assert row["status"] == sol.status
 
     @staticmethod
     def random_atoms(rng, n_atoms, gdims):
