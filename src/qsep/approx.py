@@ -2,11 +2,14 @@
 computable inequalities that control how much a state functional can move
 under truncation.
 
-The compression keeps, on each selected subsystem, the span of the r
-largest marginal eigenvectors. The envelope combines the marginal tail
-mass with a continuity bound evaluated on witness Hamiltonians; it is
-reported only where the closed-form branch applies (tail parameter in
-(0, 1]).
+Each selected subsystem takes one marginal eigendecomposition, and rank r
+keeps its first r eigenvectors. Every mass is a sum, never one minus a
+sum: the tail sums the marginal eigenvalues past r, and c_r and qbar_r =
+1 - c_r sum rho's diagonal in the product eigenbasis inside and outside the
+kept block.
+The envelope combines the tail mass with a continuity bound evaluated on
+witness Hamiltonians; it is reported only where the closed-form branch
+applies (tail parameter in (0, 1]).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .gibbs import BoundParams, fcb_bound
 from .qmat import (
     HERM_TOL,
     DensityOp,
+    SpectralDecomp,
     eigh,
     herm_residual,
     hermitian_part,
     partial_trace,
-    top_projector,
     trace_norm,
 )
 
@@ -34,21 +37,15 @@ ANNIHILATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Per-subsystem rank-r projectors and the weight c_r = Tr Q rho they keep."""
+    """Rank-r projectors and the masses of the state they were made from:
+    c_r = Tr Q rho, qbar = 1 - c_r and the summed marginal tail (eps_r^2)."""
 
     subset: tuple[int, ...]
     r: int
     projectors: dict[int, np.ndarray] = field(repr=False)
     c_r: float
-
-    def marginal_tail(self, rho: DensityOp) -> float:
-        """Sum over the subset of the marginal weight outside the kept ranks."""
-        total = 0.0
-        for s in self.subset:
-            marg = partial_trace(rho, [s])
-            kept = float(np.real(np.trace(self.projectors[s] @ marg.mat)))
-            total += max(0.0, 1.0 - kept)
-        return total
+    tail: float
+    qbar: float
 
 
 def _checked_subset(rho: DensityOp, subset) -> tuple[int, ...]:
@@ -68,11 +65,32 @@ def _check_rank(rho: DensityOp, subset: tuple[int, ...], r: int) -> None:
         raise ValueError(f"rank r={r} exceeds a local dimension on subset {subset}")
 
 
-def _rank_projectors(rho: DensityOp, subset, r: int) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
-    """Checked sorted subset and the rank-r projectors of rho's marginals on it."""
+def _marginal_bases(rho: DensityOp, subset, ranks, extra=()) -> tuple[tuple, dict[int, SpectralDecomp]]:
+    """Checked sorted subset, checked ranks, and one qmat.eigh per marginal
+    of the subset and of `extra` (eigenvalues descending)."""
     subset = _checked_subset(rho, subset)
-    _check_rank(rho, subset, r)
-    return subset, {s: top_projector(partial_trace(rho, [s]), r) for s in subset}
+    for r in ranks:
+        _check_rank(rho, subset, r)
+    return subset, {s: eigh(partial_trace(rho, [s]).mat) for s in sorted(set(subset) | set(extra))}
+
+
+def _kept_projector(v: np.ndarray, r: int) -> np.ndarray:
+    return hermitian_part(v[:, :r] @ v[:, :r].conj().T)
+
+
+def _masses(rho: DensityOp, subset, bases, ranks) -> dict[int, tuple[float, float, float]]:
+    """(c_r, qbar_r, tail_r) per rank r. p, rho's diagonal in the product
+    eigenbasis of the subset, is one einsum; basis state i is kept at rank r
+    when its shell max_s i_s is below r. Tails are clipped at 0 per marginal."""
+    n = rho.sig.nsys
+    ops = [rho.mat.reshape(rho.sig.dims * 2), list(range(n)) + [n + s if s in subset else s for s in range(n)]]
+    for s in subset:
+        v = bases[s].eigenvectors
+        ops += [v.conj(), [s, 2 * n + s], v, [n + s, 2 * n + s]]
+    p = np.einsum(*ops, [2 * n + s for s in subset], optimize="greedy").real
+    shells = np.bincount(np.indices(p.shape).max(axis=0).ravel(), weights=p.ravel())
+    tails = [[max(0.0, math.fsum(bases[s].eigenvalues[r:])) for s in subset] for r in ranks]
+    return {r: (math.fsum(shells[:r]), max(0.0, math.fsum(shells[r:])), sum(t)) for r, t in zip(ranks, tails)}
 
 
 def _isometry(p, s: int, d: int) -> np.ndarray:
@@ -163,10 +181,11 @@ def _require_state(out: DensityOp | None) -> DensityOp:
 
 
 def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
-    """Build the rank-r compression plan from rho's own marginals."""
-    subset, projs = _rank_projectors(rho, subset, r)
-    _, c = compress(rho, projs)
-    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
+    """The rank-r plan from rho's own marginals, with no compressed state built."""
+    subset, bases = _marginal_bases(rho, subset, [r])
+    c, qbar, tail = _masses(rho, subset, bases, [r])[r]
+    projs = {s: _kept_projector(bases[s].eigenvectors, r) for s in subset}
+    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c, tail=tail, qbar=qbar)
 
 
 def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
@@ -175,14 +194,10 @@ def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
 
 
 def truncation_map(rho: DensityOp, subset, r: int) -> tuple[DensityOp, TruncationPlan]:
-    """Normalized compression onto the top-r marginal subspaces of `subset`.
-
-    One compression serves both the state and the plan's c_r, so the
-    result equals apply_plan(rho, make_plan(rho, subset, r)) bit for bit.
-    """
-    subset, projs = _rank_projectors(rho, subset, r)
-    out, c = compress(rho, projs)
-    return _require_state(out), TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c)
+    """apply_plan(rho, make_plan(rho, subset, r)) and the plan. The state is
+    normalized by its core's trace, which can differ from c_r in the last bits."""
+    plan = make_plan(rho, subset, r)
+    return apply_plan(rho, plan), plan
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +334,12 @@ def make_channel_product(specs: list):
 def truncation_channels(rho: DensityOp, subset, r: int) -> DensityOp:
     """Trace-preserving truncation: project each selected subsystem onto its
     top-r marginal subspace and reroute the lost weight to the pure state of
-    the largest marginal eigenvalue. Projectors come from rho's own marginals."""
-    subset, projs = _rank_projectors(rho, subset, r)
+    the largest marginal eigenvalue, both from rho's own marginals."""
+    subset, bases = _marginal_bases(rho, subset, [r])
     chans = [None] * rho.sig.nsys
     for s in subset:
-        marg = partial_trace(rho, [s])
-        tau_vec = eigh(marg.mat).eigenvectors[:, 0]
-        chans[s] = channel_project_or_reroute(projs[s], tau_vec)
+        v = bases[s].eigenvectors
+        chans[s] = channel_project_or_reroute(_kept_projector(v, r), v[:, 0])
     return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, chans)))
 
 
@@ -335,10 +349,8 @@ def truncation_channels(rho: DensityOp, subset, r: int) -> DensityOp:
 
 
 def projection_mass_check(plan: TruncationPlan, rho: DensityOp) -> tuple[float, float]:
-    """Both sides of Tr Q rho >= 1 - sum of marginal tails."""
-    lhs = plan.c_r
-    rhs = 1.0 - plan.marginal_tail(rho)
-    return lhs, rhs
+    """Both sides of Tr Q rho >= 1 - sum of marginal tails for the plan's own state rho."""
+    return plan.c_r, 1.0 - plan.tail
 
 
 def gentle_bound_check(rho: DensityOp, subset, r: int) -> dict:
@@ -349,25 +361,21 @@ def gentle_bound_check(rho: DensityOp, subset, r: int) -> dict:
     """
     out, plan = truncation_map(rho, subset, r)
     distance = trace_norm(rho.mat - out.mat)
-    qbar_mass = max(0.0, 1.0 - plan.c_r)
-    tail_mass = max(0.0, plan.marginal_tail(rho))
-    bound_q = 2.0 * math.sqrt(qbar_mass)
-    bound_marginal = 2.0 * math.sqrt(tail_mass)
+    bound_q = 2.0 * math.sqrt(plan.qbar)
     return {
         "distance": distance,
-        "qbar_mass": qbar_mass,
-        "tail_mass": tail_mass,
+        "qbar_mass": plan.qbar,
+        "tail_mass": plan.tail,
         "bound_q": bound_q,
-        "bound_marginal": bound_marginal,
-        "ok": distance <= bound_q + 1e-8 and qbar_mass <= tail_mass + 1e-8,
+        "bound_marginal": 2.0 * math.sqrt(plan.tail),
+        "ok": distance <= bound_q + 1e-8 and plan.qbar <= plan.tail + 1e-8,
     }
 
 
 def witness_operator(rho: DensityOp, s: int, levels: np.ndarray) -> np.ndarray:
     """Witness matrix diagonal in the descending eigenbasis of the s-th marginal."""
-    marg = partial_trace(rho, [s])
-    dec = eigh(marg.mat)
-    g = np.asarray(levels, dtype=float)[: marg.dim]
+    dec = _marginal_bases(rho, [s], [])[1][s]
+    g = np.asarray(levels, dtype=float)[: len(dec.eigenvalues)]
     return hermitian_part((dec.eigenvectors * g) @ dec.eigenvectors.conj().T)
 
 
@@ -479,12 +487,12 @@ def truncation_experiment(
     of range raises ValueError.
 
     Each subsystem of the subset and of the witnesses takes one marginal
-    eigendecomposition (qmat.eigh, whose order top_projector shares): the
-    rank-r isometry is its first r eigenvector columns, the tail mass the
-    sum of its eigenvalues past r (clipped at 0), and the witness energy
-    sum_i g_i lambda_i. rho is reduced once, to the largest rank; the
-    ranks then run in descending order, each core the leading block of
-    the last, and rows come back in r_grid order.
+    eigendecomposition (qmat.eigh): the rank-r isometry is its first r
+    eigenvector columns and the witness energy sum_i g_i lambda_i. c_r,
+    eps_r^2 (the tail) and gentle_bound = 2 sqrt(qbar_r) come from the
+    mass rule that make_plan uses. rho is reduced once, to the largest
+    rank; the ranks then run in descending order, each core the leading
+    block of the last, and rows come back in r_grid order.
     """
     params = None
     subs: list[int] = []
@@ -498,12 +506,10 @@ def truncation_experiment(
             raise ValueError(f"{len(witnesses)} witnesses but {len(subs)} witness subsystems")
         if len(set(subs)) < len(subs) or not set(subs) <= set(range(rho.sig.nsys)):
             raise ValueError(f"witness subsystems {subs} must be distinct subsystems of 0..{rho.sig.nsys - 1}")
-    subset = _checked_subset(rho, subset)
     ranks = [int(r) for r in r_grid]
-    for r in ranks:
-        _check_rank(rho, subset, r)
+    subset, decs = _marginal_bases(rho, subset, ranks, extra=subs)
+    masses = _masses(rho, subset, decs, ranks)
     dims = rho.sig.dims
-    decs = {s: eigh(partial_trace(rho, [s]).mat) for s in sorted(set(subset) | set(subs))}
     if witnesses is not None:
         e_s = sum(float(w.values(dims[s]) @ decs[s].eigenvalues) for s, w in zip(subs, witnesses))
         params = _bound_params(template, list(witnesses), e_s)
@@ -517,7 +523,7 @@ def truncation_experiment(
         kept = [d if v is None else r for d, v in zip(dims, vs)]
         if core is None:
             core = _reduce(rho.mat, vs, dims)
-        out, c = _expand(rho.sig, core, vs, kept)
+        out, _ = _expand(rho.sig, core, vs, kept)
         _require_state(out)
         # hand the next rank's core, a leading block of this one, off before f runs
         if r_next is None:
@@ -528,12 +534,13 @@ def truncation_experiment(
             core = np.ascontiguousarray(core.reshape(kept * 2)[lead]).reshape(math.prod(inner), -1)
         f_trunc = f(out)
         del out
-        eps = tail_parameter(sum(max(0.0, math.fsum(decs[s].eigenvalues[r:])) for s in subset))
+        c, qbar, tail = masses[r]
+        eps = tail_parameter(tail)
         found[r] = {
             "r": r,
             "c_r": c,
             "eps_r": eps,
-            "gentle_bound": 2.0 * math.sqrt(max(0.0, 1.0 - c)),
+            "gentle_bound": 2.0 * math.sqrt(qbar),
             "Y_r": None if params is None else _envelope_value(params, eps),
             "f_exact": f_exact,
             "f_trunc": f_trunc,

@@ -28,7 +28,7 @@ from . import __version__
 from .approx import BoundTemplate, qmi_function, truncation_experiment
 from .entropy import mutual_information, von_neumann_entropy
 from .fixtures import FIXTURE_VERSION, FIXTURES, get_fixture
-from .gibbs import solve_beta
+from .gibbs import max_entropy, solve_beta
 from .qmat import DensityOp, eigh, hermitian_part, load_state, partial_trace, random_density, random_pure
 from .relent import (
     Partition,
@@ -139,8 +139,8 @@ def _cmd_gibbs(config: dict):
 
     rows = []
     for e in e_grid:
-        sol = solve_beta(ham, e, dim)
-        rows.append([e, sol.beta, sol.entropy, sol.entropy / e if e != 0 else math.inf])
+        ceiling = max_entropy(ham, e, dim)
+        rows.append([e, solve_beta(ham, e, dim).beta, ceiling, ceiling / e if e != 0 else math.inf])
     violations = []
     ceilings = [r[2] for r in rows]
     for a, b in zip(ceilings, ceilings[1:]):
@@ -223,14 +223,21 @@ def _cmd_er(config: dict):
     return ["value", "gap", "iters", "converged"], rows, extra, []
 
 
+def _solves(rows_d: list[dict], key: str) -> list[dict]:
+    """Per solve: its grid value under `key`, status, iterations and gap."""
+    return [{key: r[key], "status": r["status"], "iters": r["iters"], "gap": r["gap"]} for r in rows_d]
+
+
 def _cmd_er_reg(config: dict):
     rho = resolve_state(_require(config, "state"))
     part = _partition(config, rho.sig.nsys)
     k_max = _int_field(config, "k_max", 2)
     rows_d = regularized_estimates(rho, part, k_max, _solver_opts(config))
     rows = [[r["k"], r["value"], r["gap"], r["iters"]] for r in rows_d]
-    # the two-copy start's size and whether it is sigma x sigma go in the record only
+    # the two-copy start's size, whether it is sigma x sigma, and why each
+    # solve stopped go in the record only
     extra = {key: rows_d[-1][key] for key in ("lift_pairs", "lift_exact") if key in rows_d[-1]}
+    extra["solves"] = _solves(rows_d, "k")
     violations = []
     for a, b in zip(rows_d, rows_d[1:]):
         if b["value"] > a["value"] + 1e-6:
@@ -258,7 +265,7 @@ def _cmd_er_energy(config: dict):
     for a, b in zip(rows_d, rows_d[1:]):
         if b["value"] > a["value"] + 1e-6:
             violations.append({"kind": "energy-monotonicity", "E": b["E"], "values": [a["value"], b["value"]]})
-    return ["E", "value", "gap", "iters"], rows, {}, violations
+    return ["E", "value", "gap", "iters"], rows, {"solves": _solves(rows_d, "E")}, violations
 
 
 def _cmd_fda(config: dict):

@@ -145,7 +145,7 @@ class TestTruncationMap:
         good = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match=f"subsystem 1 is not an orthogonal projector: .*{match}"):
             compress(rho, {0: good, 1: bad})
-        plan = TruncationPlan(subset=(0, 1), r=1, projectors={0: good, 1: bad}, c_r=1.0)
+        plan = TruncationPlan(subset=(0, 1), r=1, projectors={0: good, 1: bad}, c_r=1.0, tail=0.0, qbar=0.0)
         with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
             apply_plan(rho, plan)
         with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
@@ -375,10 +375,38 @@ class TestProofInequalities:
             lhs, rhs = energy_growth_check(rho, plan, gops)
             assert lhs <= rhs + 1e-8
 
+    def test_one_eigh_per_marginal(self, monkeypatch):
+        # the plan and the channels read every projector, tail and reroute
+        # state from one decomposition per marginal of the subset
+        rho = random_density((3, 3, 3), 27, seed=11)
+        calls = []
+        eigh_np = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh_np(m))
+        make_plan(rho, [0, 1, 2], 2)
+        assert calls == [(3, 3)] * 3
+        calls.clear()
+        truncation_channels(rho, [0, 1, 2], 2)
+        assert calls == [(3, 3)] * 3
+
+    @pytest.mark.parametrize("r", [1, 5, 9])
+    def test_masses_meet_geometric_closed_forms(self, r):
+        # the README approx state: qbar_r = q^r (1 - q^(10-r)) / (1 - q^10)
+        # and three equal marginal tails of that size; 1 - c_r cancels
+        q, d = 0.02, 10
+        rho = get_fixture("correlated-geometric")
+        qbar = q**r * (1.0 - q ** (d - r)) / (1.0 - q**d)
+        res = gentle_bound_check(rho, [0, 1, 2], r)
+        assert abs(res["qbar_mass"] / qbar - 1.0) < 1e-12
+        assert abs(res["tail_mass"] / (3.0 * qbar) - 1.0) < 1e-12
+        assert abs(res["bound_q"] / (2.0 * math.sqrt(qbar)) - 1.0) < 1e-12
+        lhs, rhs = projection_mass_check(make_plan(rho, [0, 1, 2], r), rho)
+        assert abs(lhs - (1.0 - q**r) / (1.0 - q**d)) < 1e-15
+        assert abs(rhs - (1.0 - 3.0 * qbar)) < 1e-15
+
     def test_eps_monotone_c_monotone(self):
         rho = random_density((3, 3), 7, seed=8)
         plans = [make_plan(rho, [0, 1], r) for r in (1, 2, 3)]
-        eps = [math.sqrt(p.marginal_tail(rho)) for p in plans]
+        eps = [math.sqrt(p.tail) for p in plans]
         cs = [p.c_r for p in plans]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(cs, cs[1:]))
@@ -534,7 +562,7 @@ class TestOnePassExperiment:
             assert abs(row["f_trunc"] - f_trunc) < 1e-12
             assert abs(row["diff"] - abs(f_trunc - f_exact)) < 1e-12
             assert row["f_exact"] == f_exact
-            assert abs(row["eps_r"] ** 2 - plan.marginal_tail(rho)) < 1e-12
+            assert abs(row["eps_r"] ** 2 - plan.tail) < 1e-12
             want = _envelope_value(params, row["eps_r"])
             if want:
                 assert abs(row["Y_r"] / want - 1.0) < 1e-12
@@ -562,11 +590,14 @@ class TestOnePassExperiment:
     def test_readme_tails_are_exact_geometric_tails(self):
         # the README approx state: three parties with d = 10 geometric(0.02)
         # marginals, whose tail past r is (q^r - q^10) / (1 - q^10) per party;
-        # 1 - Tr P_r rho_s loses it to cancellation from r = 7 on
+        # 1 - Tr P_r rho_s loses it to cancellation from r = 7 on, and
+        # 2 sqrt(1 - c_r) loses the gentle bound the same way
         q, d = 0.02, 10
         rho = get_fixture("correlated-geometric")
         rep = truncation_experiment(rho, lambda x: 0.0, [0, 1, 2], range(1, d))
         for row in rep.rows:
             r = row["r"]
-            exact = 3.0 * (q**r - q**d) / (1.0 - q**d)
-            assert abs(row["eps_r"] ** 2 / exact - 1.0) < 1e-12, r
+            qbar = q**r * (1.0 - q ** (d - r)) / (1.0 - q**d)
+            assert abs(row["eps_r"] ** 2 / (3.0 * qbar) - 1.0) < 1e-12, r
+            assert abs(row["gentle_bound"] / (2.0 * math.sqrt(qbar)) - 1.0) < 1e-12, r
+            assert abs(row["c_r"] - (1.0 - q**r) / (1.0 - q**d)) < 1e-15, r

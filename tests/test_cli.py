@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsep.cli import ConfigError, main, run
-from qsep.entropy import von_neumann_entropy
+from qsep.entropy import g_entropy, von_neumann_entropy
 from qsep.fixtures import FIXTURES, geometric_correlation, get_fixture
 from qsep.qmat import DensityOp, DimSig, load_state, save_state
 
@@ -75,6 +75,39 @@ def test_gibbs_csv_bytes_reproducible(tmp_path):
     run(dict(config), out_dir=tmp_path / "a")
     run(dict(config), out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "gibbs.csv").read_bytes() == (tmp_path / "b" / "gibbs.csv").read_bytes()
+
+
+def test_gibbs_writes_the_entropy_ceiling(tmp_path):
+    # unit-spaced levels have the ceiling g(E) = (E+1) ln(E+1) - E ln E
+    run({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [0.01, 1.0]}, out_dir=tmp_path)
+    lines = (tmp_path / "gibbs.csv").read_text().splitlines()
+    assert lines[0] == "E,beta,F_H,ratio"
+    for line in lines[1:]:
+        e, _, ceiling, ratio = (float(x) for x in line.split(","))
+        assert abs(ceiling / g_entropy(e) - 1.0) < 1e-15, e
+        assert ratio == ceiling / e
+
+
+@pytest.mark.parametrize(
+    "config, key, grid",
+    [
+        ({"command": "er-reg", "k_max": 2}, "k", [1, 2]),
+        ({"command": "er-energy", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, 1.0]}, "E", [0.5, 1.0]),
+    ],
+    ids=["er-reg", "er-energy"],
+)
+def test_solver_records_say_why_each_solve_stopped(tmp_path, config, key, grid):
+    config = dict(config, state="fixture:bell", seed=0, opts={"max_iters": 20})
+    record = run(config, out_dir=tmp_path)
+    solves = json.loads((tmp_path / "record.json").read_text())["extra"]["solves"]
+    assert solves == record["extra"]["solves"]
+    assert [s[key] for s in solves] == grid
+    for s, row in zip(solves, record["csv"]["rows"]):
+        assert set(s) == {key, "status", "iters", "gap"}
+        assert s["status"] in ("gap-tol", "stalled", "max-iters")
+        assert [s["gap"], s["iters"]] == row[2:]
+    # Bell's uncapped and E = 0.5 solves stop on an unchanged sigma
+    assert solves[0]["status"] == "stalled"
 
 
 def test_verify_zero_samples_vacuous_pass(tmp_path):
