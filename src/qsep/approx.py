@@ -25,8 +25,9 @@ from .qmat import (
     HERM_TOL,
     DensityOp,
     SpectralDecomp,
+    _herm_violation,
+    column_projector,
     eigh,
-    herm_residual,
     hermitian_part,
     partial_trace,
     trace_norm,
@@ -37,15 +38,30 @@ ANNIHILATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Rank-r projectors and the masses of the state they were made from:
-    c_r = Tr Q rho, qbar = 1 - c_r and the summed marginal tail (eps_r^2)."""
+    """Rank-r isometries V_s (Q_s = V_s V_s^dagger, the first r marginal
+    eigenvectors) and the masses of the state they were made from: c_r =
+    Tr Q rho, qbar = 1 - c_r and the summed marginal tail (eps_r^2). Keys other
+    than the subset, or V_s without r orthonormal columns, raise ValueError."""
 
     subset: tuple[int, ...]
     r: int
-    projectors: dict[int, np.ndarray] = field(repr=False)
+    isometries: dict[int, np.ndarray] = field(repr=False)
     c_r: float
     tail: float
     qbar: float
+
+    def __post_init__(self):
+        isos = {s: np.asarray(v) for s, v in self.isometries.items()}
+        odd = sorted(set(isos) ^ set(self.subset), key=repr)
+        if odd:
+            raise ValueError(f"subsystem {odd[0]!r} is in only one of the subset {self.subset} and the isometry keys")
+        for s, v in isos.items():
+            if v.ndim != 2 or v.shape[1] != self.r:
+                raise ValueError(f"isometry on subsystem {s} has shape {v.shape}, expected {self.r} columns")
+            off = float(np.linalg.norm(v.conj().T @ v - np.eye(self.r)))
+            if off > HERM_TOL:
+                raise ValueError(f"isometry on subsystem {s} has columns {off:.3e} away from orthonormal")
+        object.__setattr__(self, "isometries", isos)
 
 
 def _checked_subset(rho: DensityOp, subset) -> tuple[int, ...]:
@@ -74,10 +90,6 @@ def _marginal_bases(rho: DensityOp, subset, ranks, extra=()) -> tuple[tuple, dic
     return subset, {s: eigh(partial_trace(rho, [s]).mat) for s in sorted(set(subset) | set(extra))}
 
 
-def _kept_projector(v: np.ndarray, r: int) -> np.ndarray:
-    return hermitian_part(v[:, :r] @ v[:, :r].conj().T)
-
-
 def _masses(rho: DensityOp, subset, bases, ranks) -> dict[int, tuple[float, float, float]]:
     """(c_r, qbar_r, tail_r) per rank r. p, rho's diagonal in the product
     eigenbasis of the subset, is one einsum; basis state i is kept at rank r
@@ -102,7 +114,7 @@ def _isometry(p, s: int, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     if p.shape != (d, d):
         raise ValueError(f"projector on subsystem {s} has shape {p.shape}, expected {(d, d)}")
-    res = herm_residual(p)
+    res = _herm_violation(p)
     w, v = np.linalg.eigh(p)
     spread = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
     if res > HERM_TOL or spread > HERM_TOL:
@@ -146,12 +158,36 @@ def _expand(sig, core: np.ndarray, vs: list, kept) -> tuple[DensityOp | None, fl
     return DensityOp(sig, hermitian_part(mat)), c
 
 
+def _local_dim(rho: DensityOp, s) -> int:
+    """rho's dimension on subsystem s; ValueError names s unless it is one."""
+    if not (isinstance(s, (int, np.integer)) and 0 <= s < rho.sig.nsys):
+        raise ValueError(f"subsystem {s!r} is not one of the {rho.sig.nsys} subsystems of the state")
+    return rho.sig.dims[s]
+
+
+def _compress(rho: DensityOp, isometries: dict) -> tuple[DensityOp | None, float]:
+    """compress with each projector given as its isometry V, Q = V V^dagger.
+    A key that is not a subsystem of rho, or V whose rows do not match its
+    dimension, raises ValueError naming the subsystem."""
+    dims = rho.sig.dims
+    vs = [None] * len(dims)
+    for s, v in isometries.items():
+        if v.shape[0] != _local_dim(rho, s):
+            raise ValueError(f"isometry on subsystem {s} has {v.shape[0]} rows, not the state's dimension {dims[s]}")
+        vs[s] = v
+    kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
+    if 0 in kept:
+        return None, 0.0
+    return _expand(rho.sig, _reduce(rho.mat, vs, dims), vs, kept)
+
+
 def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
     """Normalized compression Q rho Q / c with its weight c = Tr Q rho.
 
     Q is the product of the per-subsystem `projectors` (identity on the
-    other subsystems); each must be an orthogonal projector, or ValueError
-    names its subsystem. Each projector is factored as V V^dagger, and rho
+    other subsystems); a key that is not a subsystem of rho, or a
+    projector that is not an orthogonal projector, raises ValueError
+    naming it. Each projector is factored once as V V^dagger, and rho
     is reduced to the kept core W^dagger rho W, W the product of the V,
     with left multiplications only: rows, a conjugate transpose, rows.
     c is the trace of the core, which is divided by c and expanded back
@@ -163,15 +199,7 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     barely above ANNIHILATION_TOL (about 5e-12) eigenvalues near -3e-11 can
     remain, still above qmat.EIG_FLOOR; from c of about 4e-10 on, none do.
     """
-    dims = rho.sig.dims
-    vs = [None] * len(dims)
-    for s, d in enumerate(dims):
-        if s in projectors:
-            vs[s] = _isometry(projectors[s], s, d)
-            if vs[s].shape[1] == 0:
-                return None, 0.0
-    kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
-    return _expand(rho.sig, _reduce(rho.mat, vs, dims), vs, kept)
+    return _compress(rho, {s: _isometry(p, s, _local_dim(rho, s)) for s, p in projectors.items()})
 
 
 def _require_state(out: DensityOp | None) -> DensityOp:
@@ -184,13 +212,13 @@ def make_plan(rho: DensityOp, subset, r: int) -> TruncationPlan:
     """The rank-r plan from rho's own marginals, with no compressed state built."""
     subset, bases = _marginal_bases(rho, subset, [r])
     c, qbar, tail = _masses(rho, subset, bases, [r])[r]
-    projs = {s: _kept_projector(bases[s].eigenvectors, r) for s in subset}
-    return TruncationPlan(subset=subset, r=r, projectors=projs, c_r=c, tail=tail, qbar=qbar)
+    isos = {s: bases[s].eigenvectors[:, :r] for s in subset}
+    return TruncationPlan(subset=subset, r=r, isometries=isos, c_r=c, tail=tail, qbar=qbar)
 
 
 def apply_plan(rho: DensityOp, plan: TruncationPlan) -> DensityOp:
-    """Compress rho with the plan's projectors, normalized by its own Tr Q rho."""
-    return _require_state(compress(rho, plan.projectors)[0])
+    """Compress rho with the plan's isometries, normalized by its own Tr Q rho."""
+    return _require_state(_compress(rho, plan.isometries)[0])
 
 
 def truncation_map(rho: DensityOp, subset, r: int) -> tuple[DensityOp, TruncationPlan]:
@@ -339,7 +367,7 @@ def truncation_channels(rho: DensityOp, subset, r: int) -> DensityOp:
     chans = [None] * rho.sig.nsys
     for s in subset:
         v = bases[s].eigenvectors
-        chans[s] = channel_project_or_reroute(_kept_projector(v, r), v[:, 0])
+        chans[s] = channel_project_or_reroute(column_projector(v[:, :r]), v[:, 0])
     return DensityOp(rho.sig, hermitian_part(_apply_local_maps(rho, chans)))
 
 

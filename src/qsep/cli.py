@@ -29,7 +29,7 @@ from .approx import BoundTemplate, qmi_function, truncation_experiment
 from .entropy import mutual_information, von_neumann_entropy
 from .fixtures import FIXTURE_VERSION, FIXTURES, get_fixture
 from .gibbs import max_entropy, solve_beta
-from .qmat import DensityOp, eigh, hermitian_part, load_state, partial_trace, random_density, random_pure
+from .qmat import DensityOp, column_projector, eigh, load_state, partial_trace, random_density, random_pure
 from .relent import (
     Partition,
     SolverOpts,
@@ -60,11 +60,16 @@ def _require(config: dict, field: str, kind=None):
     return value
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1; a bool, a float or a string is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _int_field(section: dict, field: str, default=None, within: str | None = None):
-    """An optional integer field >= 1; anything else (a bool, a float, a
-    string, a value below 1) raises ConfigError naming the field."""
+    """An optional integer field >= 1 (`_is_count`); anything else raises
+    ConfigError naming the field."""
     value = section.get(field, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+    if value is not None and not _is_count(value):
         where = f"{field!r}" + (f" in {within!r}" if within else "")
         raise ConfigError(f"config field {where} must be an integer >= 1, got {value!r}")
     return value
@@ -276,7 +281,7 @@ def _cmd_fda(config: dict):
     # one eigenbasis per marginal; rank r projects onto its first r columns
     # (all of them past the marginal's dimension), as top_projector does
     bases = [eigh(partial_trace(rho, [s]).mat).eigenvectors for s in range(rho.sig.nsys)]
-    steps = [{s: hermitian_part(v[:, :r] @ v[:, :r].conj().T) for s, v in enumerate(bases)} for r in rank_grid]
+    steps = [{s: column_projector(v[:, :r]) for s, v in enumerate(bases)} for r in rank_grid]
     m_grid = [int(m) for m in config.get("m_grid", [rho.sig.nsys])]
     rows_d = truncation_limit_experiment(rho, steps, m_grid, _solver_opts(config))
     rows = []
@@ -329,7 +334,9 @@ def _cmd_verify(config: dict):
 
 def _cmd_theorem2(config: dict):
     rho0 = resolve_state(_require(config, "state"))
-    ks = [int(k) for k in config.get("ks", [1, 2, 4, 8])]
+    ks = config.get("ks", [1, 2, 4, 8])
+    if not isinstance(ks, list) or not all(_is_count(k) for k in ks):
+        raise ConfigError(f"config field 'ks' must be a list of integers >= 1, got {ks!r}")
     dim = rho0.sig.total
     mixed = np.eye(dim, dtype=complex) / dim
     states = [

@@ -293,7 +293,7 @@ def max_entropy_multi(hams: list, E: float, dims: list[int] | None = None) -> fl
     sources = _sources(hams, dims)
     beta = _common_beta(sources, E)
     if not 0.0 < beta < math.inf:
-        return solve_beta_multi(hams, E, dims).entropy
+        return float(sum(_gibbs_at(src, beta)[1] for src in sources))
     log_z = {id(src): src.moments(beta)[0] for src in sources}
     return beta * (E - sum(src.ground for src in sources)) + sum(log_z[id(src)] for src in sources)
 

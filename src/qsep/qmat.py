@@ -219,10 +219,12 @@ def top_projector(rho_marginal: DensityOp, r: int) -> np.ndarray:
     d = rho_marginal.dim
     if not 1 <= r <= d:
         raise ValueError(f"rank r={r} out of range [1, {d}]")
-    dec = eigh(rho_marginal.mat)
-    v = dec.eigenvectors[:, :r]
-    p = v @ v.conj().T
-    return hermitian_part(p)
+    return column_projector(eigh(rho_marginal.mat).eigenvectors[:, :r])
+
+
+def column_projector(v: np.ndarray) -> np.ndarray:
+    """The projector V V^dagger onto orthonormal columns V, symmetrized once."""
+    return hermitian_part(v @ v.conj().T)
 
 
 def random_density(sig, rank: int, seed: int) -> DensityOp:

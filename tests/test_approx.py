@@ -102,7 +102,7 @@ class TestTruncationMap:
         assert np.abs(out.mat - dense / np.trace(dense).real).max() < 1e-12
         DensityOp.create(out.sig, out.mat, validate=True)
         plan = make_plan(rho, list(range(len(dims))), 1)
-        q = product_operator(plan.projectors, rho.sig)
+        q = product_operator({s: v @ v.conj().T for s, v in plan.isometries.items()}, rho.sig)
         dense = q @ rho.mat @ q
         assert abs(plan.c_r - np.trace(dense).real) < 1e-12
         got = apply_plan(rho, plan)
@@ -145,11 +145,42 @@ class TestTruncationMap:
         good = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match=f"subsystem 1 is not an orthogonal projector: .*{match}"):
             compress(rho, {0: good, 1: bad})
-        plan = TruncationPlan(subset=(0, 1), r=1, projectors={0: good, 1: bad}, c_r=1.0, tail=0.0, qbar=0.0)
-        with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
-            apply_plan(rho, plan)
+        with pytest.raises(ValueError, match="subsystem 1 has columns .* away from orthonormal"):
+            TruncationPlan(subset=(0, 1), r=2, isometries={0: np.eye(2), 1: bad[:, :2]}, c_r=1.0, tail=0.0, qbar=0.0)
         with pytest.raises(ValueError, match="subsystem 1 is not an orthogonal projector"):
             truncation_limit_experiment(rho, [{1: bad}])
+
+    @pytest.mark.parametrize("key", [5, -1, "0"], ids=["past-last", "negative", "string"])
+    def test_projector_key_naming_no_subsystem_rejected(self, key):
+        # skipping such a key would leave rho untruncated with c = 1
+        rho = random_density((2, 2), 4, seed=26)
+        p = np.diag([1.0, 0.0])
+        with pytest.raises(ValueError, match=f"subsystem {key!r} is not one of the 2 subsystems"):
+            compress(rho, {key: p})
+        with pytest.raises(ValueError, match="subsystem 7 is not one of the 2 subsystems"):
+            truncation_limit_experiment(rho, [{7: p}])
+
+    def test_plan_isometries_checked_on_construction(self):
+        v = np.eye(3)[:, :2]
+        masses = dict(c_r=1.0, tail=0.0, qbar=0.0)
+        TruncationPlan(subset=(0, 1), r=2, isometries={0: v, 1: v}, **masses)
+        skew = v.copy()
+        skew[2, 1] = 1e-3
+        with pytest.raises(ValueError, match="subsystem 1 has columns 1.000e-06 away from orthonormal"):
+            TruncationPlan(subset=(0, 1), r=2, isometries={0: v, 1: skew}, **masses)
+        with pytest.raises(ValueError, match=r"subsystem 1 has shape \(3, 1\), expected 2 columns"):
+            TruncationPlan(subset=(0, 1), r=2, isometries={0: v, 1: v[:, :1]}, **masses)
+        with pytest.raises(ValueError, match="subsystem 1 is in only one of the subset"):
+            TruncationPlan(subset=(0, 1), r=2, isometries={0: v}, **masses)
+        with pytest.raises(ValueError, match="subsystem 2 is in only one of the subset"):
+            TruncationPlan(subset=(0, 1), r=2, isometries={0: v, 1: v, 2: v}, **masses)
+
+    def test_plan_on_other_local_dimensions_rejected(self):
+        plan = make_plan(random_density((2, 3), 6, seed=27), [0, 1], 1)
+        with pytest.raises(ValueError, match="subsystem 1 has 3 rows, not the state's dimension 2"):
+            apply_plan(random_density((2, 2), 4, seed=28), plan)
+        with pytest.raises(ValueError, match="subsystem 1 is not one of the 1 subsystems"):
+            apply_plan(random_density((2,), 2, seed=29), plan)
 
     def test_projector_of_wrong_shape_rejected(self):
         rho = random_density((2, 3), 6, seed=24)
@@ -376,17 +407,29 @@ class TestProofInequalities:
             assert lhs <= rhs + 1e-8
 
     def test_one_eigh_per_marginal(self, monkeypatch):
-        # the plan and the channels read every projector, tail and reroute
-        # state from one decomposition per marginal of the subset
+        # the plan and the channels read every isometry, tail and reroute
+        # state from one decomposition per marginal of the subset, and a
+        # plan is applied with its own isometries: no eigh, no 2-norm
         rho = random_density((3, 3, 3), 27, seed=11)
-        calls = []
-        eigh_np = np.linalg.eigh
+        plan = make_plan(rho, [0, 1, 2], 2)
+        g = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        calls, ords = [], []
+        eigh_np, norm_np = np.linalg.eigh, np.linalg.norm
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh_np(m))
-        make_plan(rho, [0, 1, 2], 2)
-        assert calls == [(3, 3)] * 3
-        calls.clear()
-        truncation_channels(rho, [0, 1, 2], 2)
-        assert calls == [(3, 3)] * 3
+        monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *a, **k: ords.append(ord) or norm_np(x, ord, *a, **k))
+        apply_plan(rho, plan)
+        assert calls == [] and 2 not in ords
+        for run, count in [
+            (lambda: make_plan(rho, [0, 1, 2], 2), 3),
+            (lambda: truncation_map(rho, [0, 1, 2], 2), 3),
+            (lambda: gentle_bound_check(rho, [0, 1, 2], 2), 3),
+            (lambda: energy_growth_check(rho, plan, {0: g, 2: g}), 0),
+            (lambda: truncation_channels(rho, [0, 1, 2], 2), 3),
+            (lambda: truncation_experiment(rho, lambda x: 0.0, [0, 1, 2], [1, 2]), 3),
+        ]:
+            calls.clear()
+            run()
+            assert calls == [(3, 3)] * count
 
     @pytest.mark.parametrize("r", [1, 5, 9])
     def test_masses_meet_geometric_closed_forms(self, r):

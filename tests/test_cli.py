@@ -336,6 +336,13 @@ def test_invalid_integer_field_names_it(config, field):
         run(config)
 
 
+@pytest.mark.parametrize("ks", [[0], [-1], [2, 1.5], [True], "1", [None]])
+def test_theorem2_ks_must_be_counts(ks):
+    # k = 0 divides by zero, and k = -1 mixes to 2 rho - 1/4, which is not a state
+    with pytest.raises(ConfigError, match="'ks'"):
+        run({"command": "theorem2", "state": "fixture:bell", "seed": 0, "ks": ks})
+
+
 @pytest.mark.parametrize(
     "spec, name",
     [(["depolarizing"], "'depolarizing'"), (["dephasing", 0.1, 0.2], "'dephasing'"), (["identity", 0.5], "'identity'")],

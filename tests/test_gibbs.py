@@ -193,6 +193,20 @@ class TestMaxEntropy:
         assert abs(max_entropy(LINEAR, energy) - g) <= 1e-15 * g
         assert abs(max_entropy_multi([LINEAR, LINEAR], 2.0 * energy) - 2.0 * g) <= 2e-15 * g
 
+    @pytest.mark.parametrize("energy", [100.0, 0.0])
+    def test_clamped_beta_found_once(self, monkeypatch, energy):
+        # beta = 0 (energy above the truncation's mean) or inf (the ground):
+        # the entropy is the Gibbs state's, summed without a second root-find
+        import qsep.gibbs as gibbs_mod
+
+        want = solve_beta(LINEAR, energy, 4).entropy
+        calls = []
+        common = gibbs_mod._common_beta
+        monkeypatch.setattr(gibbs_mod, "_common_beta", lambda *a: calls.append(a) or common(*a))
+        got = max_entropy(LINEAR, energy, 4)
+        assert len(calls) == 1 and calls[0][1] == energy
+        assert got == want
+
     @pytest.mark.parametrize(
         "ham,dim",
         [(QUBIT, None), (LINEAR, 256), (HamiltonianSpec.logpow(4, 2), 256)],
