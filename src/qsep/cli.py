@@ -228,9 +228,11 @@ def _cmd_er(config: dict):
     return ["value", "gap", "iters", "converged"], rows, extra, []
 
 
-def _solves(rows_d: list[dict], key: str) -> list[dict]:
-    """Per solve: its grid value under `key`, status, iterations and gap."""
-    return [{key: r[key], "status": r["status"], "iters": r["iters"], "gap": r["gap"]} for r in rows_d]
+def _solves(rows_d: list[dict], *keys: str) -> list[dict]:
+    """Per solve: its grid values under `keys`, status, iterations and gap;
+    rows that skipped their solve have none."""
+    fields = (*keys, "status", "iters", "gap")
+    return [{f: r[f] for f in fields} for r in rows_d if not r.get("skipped")]
 
 
 def _cmd_er_reg(config: dict):
@@ -292,7 +294,7 @@ def _cmd_fda(config: dict):
             rows.append(
                 [r["k"], r["m"], r["c_k"], r["value"], r["gap"], r["rel_change"] if r["rel_change"] is not None else math.nan]
             )
-    return ["k", "m", "c_k", "value", "gap", "rel_change"], rows, {}, []
+    return ["k", "m", "c_k", "value", "gap", "rel_change"], rows, {"solves": _solves(rows_d, "k", "m")}, []
 
 
 def _cmd_verify(config: dict):
@@ -344,7 +346,7 @@ def _cmd_theorem2(config: dict):
     ]
     rows_d = sequence_convergence_demo(states, rho0, _partition(config, rho0.sig.nsys), _solver_opts(config))
     rows = [[r["k"], r["trace_distance"], r["qmi"], r["value"], r["gap"]] for r in rows_d]
-    return ["k", "trace_distance", "qmi", "value", "gap"], rows, {}, []
+    return ["k", "trace_distance", "qmi", "value", "gap"], rows, {"solves": _solves(rows_d, "k")}, []
 
 
 _HANDLERS = {

@@ -7,8 +7,17 @@ alternating minimal-eigenvector heuristic. Each outer step adds one atom
 via exact line search, then a corrective pass re-balances the weights of
 the atoms collected so far by SQUAREM-accelerated EM steps, evaluated in
 sigma's eigenbasis, which in practice restores fast convergence on
-separable inputs. The reported gap is a true suboptimality certificate
-only when the atom oracle is exact; it is labeled heuristic everywhere.
+separable inputs. Without an active energy cap the step also refines the
+atoms themselves (Riemannian gradient steps on their factors, weights
+held), searches with a light oracle seeded at sigma's own best atom and
+finds the step length as the root of the objective's slope. The reported
+gap is a true suboptimality certificate only when the atom oracle is
+exact; it is labeled heuristic everywhere. The seeding makes every
+uncapped gap >= 0, but value - gap is still a heuristic lower bound.
+Near a singular sigma the gradient, and with it the gap, is dominated by
+rho's weight on sigma's smallest eigenvalues, so an uncapped solve that
+does not stop at gap-tol takes its final certificate at a slightly mixed
+interior point.
 """
 
 from __future__ import annotations
@@ -39,15 +48,22 @@ from .qmat import (
     trace_distance,
 )
 
-# fixed solver constants: alternating sweeps per oracle call, golden-section
-# steps per line search, corrective-pass evaluations per iteration, the weight
-# below which an atom is dropped, the stall test for slow descent (no
-# objective descent beyond STALL_TOL over STALL_WINDOW iterations; a solve
-# also stalls at its first iteration that leaves sigma unchanged) and the
-# number of atom pairs kept by the two-copy warm start
+# fixed solver constants: alternating sweeps per certificate-grade and per
+# search-grade oracle call, golden-section steps (or secant evaluations) per
+# line search, corrective-pass evaluations per iteration, refinement steps
+# per iteration and step halvings per refinement step, the weight below
+# which an atom is dropped, the stall test for slow descent (no objective
+# descent beyond STALL_TOL over STALL_WINDOW iterations; a solve also stalls
+# at its first iteration that leaves sigma unchanged) and the number of atom
+# pairs kept by the two-copy warm start
 LMO_SWEEPS = 50
+LMO_SEARCH_SWEEPS = 10
 LINE_ITERS = 48
 POLISH_ITERS = 30
+REFINE_STEPS = 5
+REFINE_HALVINGS = 12
+# weight of 1/D in the interior point of an uncapped solve's final certificate
+CERT_MIX = 1e-5
 PRUNE_TOL = 1e-10
 STALL_WINDOW = 20
 STALL_TOL = 1e-11
@@ -153,6 +169,8 @@ def product_lmo(
     partition: Partition,
     restarts: int = 8,
     rng: np.random.Generator | int | None = 0,
+    sweeps: int = LMO_SWEEPS,
+    seeds: list[np.ndarray] | None = None,
 ) -> LmoResult:
     """Approximate minimizers of <psi|G_m|psi> over product unit vectors,
     one for each matrix of the stack g_mats (M, D, D), as one `LmoResult`
@@ -163,13 +181,16 @@ def product_lmo(
     operator. All M x restarts lanes sweep in lockstep (one batched
     contraction and one stacked eigensolve per group and sweep). Each
     block of `restarts` lanes stops on its own stall, when no lane's value
-    moved by more than 1e-13 (relative) over a sweep; the stalled blocks
-    leave the live set at once. Restarts are drawn block by block, in the
-    order M one-matrix calls would draw them, so the generator ends in the
-    same state and every block's result equals that of its own call. Per
-    block the best attained value wins, ties keeping the earliest restart;
-    the restart spread (max - min attained value) is a quality diagnostic
-    for this NP-hard subproblem.
+    moved by more than 1e-13 (relative) over a sweep, or after `sweeps`
+    sweeps; the stalled blocks leave the live set at once. Restarts are
+    drawn block by block, in the order M one-matrix calls would draw them,
+    so the generator ends in the same state and every block's result
+    equals that of its own call. `seeds`, per group an (M, d_g) stack,
+    replaces lane 0 of block m by the product of the rows m after the
+    draw: alternating updates never raise a lane's value, so block m then
+    ends at most at <seed|G_m|seed>. Per block the best attained value
+    wins, ties keeping the earliest restart; the restart spread (max - min
+    attained value) is a quality diagnostic for this NP-hard subproblem.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -185,13 +206,16 @@ def product_lmo(
             v = rng.standard_normal((n_r, dg)) + 1j * rng.standard_normal((n_r, dg))
             drawn.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     factors = [np.concatenate(drawn[j :: len(gdims)]) for j in range(len(gdims))]
+    if seeds is not None:
+        for f, seed in zip(factors, seeds):
+            f[::n_r] = seed
     # final per-block factors and values; rows of the live arrays belong to
     # the blocks in `live`, restarts contiguous within a block
     out_factors = [np.empty((n_m, n_r, dg), dtype=complex) for dg in gdims]
     out_vals = np.empty((n_m, n_r))
     live = np.arange(n_m)
     vals = np.full(n_m * n_r, math.inf)
-    for sweep in range(LMO_SWEEPS):
+    for sweep in range(sweeps):
         prev = vals
         n_live = len(live)
         for j in range(len(groups)):
@@ -209,7 +233,7 @@ def product_lmo(
             vals = w[:, 0]
         moved = np.abs(prev - vals).reshape(n_live, n_r).max(axis=1)
         stalled = moved <= 1e-13 * np.maximum(1.0, np.abs(vals).reshape(n_live, n_r).max(axis=1))
-        stalled |= sweep == LMO_SWEEPS - 1  # out of sweeps: every live block ends here
+        stalled |= sweep == sweeps - 1  # out of sweeps: every live block ends here
         if stalled.any():
             done = live[stalled]
             for j, f in enumerate(factors):
@@ -278,10 +302,13 @@ class EnergyConstraint:
 class ERSolution:
     """Upper estimate of the entanglement relative entropy with its decomposition.
 
-    `gap` is the last conditional-gradient gap (Lagrangian under an energy
+    `gap` is value minus the best lower bound obj - gap met along the
+    solve, each gap a conditional-gradient gap (Lagrangian under an energy
     cap); with a heuristic atom oracle it is a diagnostic, not a proven
-    suboptimality bound. `status` says why the solve stopped: "gap-tol",
-    "stalled" or "max-iters".
+    suboptimality bound. Without an active cap every oracle call is seeded with sigma's
+    own lowest atom, so each such gap is >= 0 by construction, yet value
+    - gap remains a heuristic lower bound. `status` says why the solve
+    stopped: "gap-tol", "stalled" or "max-iters".
     """
 
     value: float
@@ -324,10 +351,15 @@ def _spectral_terms(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: f
     return obj, vs, rt * phi
 
 
+def _gradient(vs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The divided-difference gradient G = -V K V^dagger of `_spectral_terms`."""
+    return hermitian_part(vs @ -k @ vs.conj().T)
+
+
 def _obj_and_grad(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
     """Objective and its divided-difference gradient G = -V K V^dagger."""
     obj, vs, k = _spectral_terms(rho_mat, sigma_mat, tr_rho_ln_rho)
-    return obj, hermitian_part(vs @ -k @ vs.conj().T)
+    return obj, _gradient(vs, k)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -351,10 +383,62 @@ def _golden(h, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho):
+def _secant(rho_mat, sigma, vec, slope0: float, tr_rho_ln_rho: float):
+    """Root of the slope of h(t) = D(rho || sigma_t), sigma_t = (1 - t) sigma
+    + t |v><v|, on [0, 1] by a safeguarded secant search: (t, h(t)) at the
+    evaluated point of least h.
+
+    With (V_t, K_t) from `_spectral_terms` and u = V_t^dagger v, h'(t) =
+    (1 - u^dagger K_t u) / (1 - t) wherever Tr G_t sigma_t = -1 (no
+    eigenvalue of sigma_t clipped at LOG_FLOOR). So h' = 0 where y(t) =
+    1 / (u^dagger K_t u) = 1, and y is linear in t when v is an eigenvector
+    of sigma. The search is Illinois regula falsi on y - 1 over a bracket
+    that starts as [0, 1], where y(0) = 1 / (1 - slope0) and y(1) =
+    1 / <v|rho|v> are known; each other point takes one
+    eigendecomposition. It stops when |y - 1| <= 1e-9 |slope0| + 1e-14,
+    when the bracket collapses, or after LINE_ITERS evaluations."""
+    direction = np.outer(vec, vec.conj())
+    evaluated = []
+
+    def y(t):
+        obj, vs, k = _spectral_terms(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+        evaluated.append((obj, t))
+        u = vs.conj().T @ vec
+        q = float(np.real(u.conj() @ k @ u))
+        return 1.0 / q if q > 0.0 else math.inf
+
+    r = float(np.real(vec.conj() @ rho_mat @ vec))
+    if r >= 1.0:  # h descends on the whole segment, to sigma_1 = rho
+        y(1.0)
+        return 1.0, evaluated[0][0]
+    (lo, f_lo), (hi, f_hi) = (0.0, 1.0 / (1.0 - slope0) - 1.0), (1.0, 1.0 / r - 1.0 if r > 0.0 else math.inf)
+    side = 0
+    for _ in range(LINE_ITERS):
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo) if math.isfinite(f_hi) else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:  # the bracket has collapsed
+                break
+        f = y(t) - 1.0
+        if abs(f) <= 1e-9 * abs(slope0) + 1e-14:  # 1e-14: the rounding floor of y
+            break
+        # an end kept twice in a row has its f halved
+        if f < 0.0:
+            lo, f_lo, f_hi = t, f, f_hi / 2 if side < 0 else f_hi
+            side = -1
+        else:
+            hi, f_hi, f_lo = t, f, f_lo / 2 if side > 0 else f_lo
+            side = 1
+    obj, t = min(evaluated)
+    return t, obj
+
+
+def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes=None):
     """Exact line search of D(rho || (1 - t) sigma + t |v><v|) on [0, t_max]
     for each candidate row v of vecs: (t*, value at t*) arrays, each from
-    `_golden` on the candidate's own segment.
+    `_golden` on the candidate's own segment or, given the candidates'
+    slopes at t = 0, from `_secant` (uncapped solves, whose segments all
+    end at t_max = 1).
 
     A row that repeats an earlier row and its t_max bit for bit copies that
     search: on a diagonal problem the oracle returns the same basis vector
@@ -365,6 +449,9 @@ def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho):
         first = searched.setdefault((vec.tobytes(), float(t_max[k])), k)
         if first != k:
             t_stars[k], vals[k] = t_stars[first], vals[first]
+            continue
+        if slopes is not None:
+            t_stars[k], vals[k] = _secant(rho_mat, sigma, vec, float(slopes[k]), tr_rho_ln_rho)
             continue
         direction = np.outer(vec, vec.conj())
 
@@ -443,6 +530,87 @@ def _corrective_pass(rho_mat, vecs, w, atom_energies, e_cap, tr_rho_ln_rho, stop
     return cur[0]
 
 
+def _lowest_atom(g_mat: np.ndarray, vecs: np.ndarray, factors) -> list[np.ndarray]:
+    """Per group the (1, d_g) factor of the atom of sigma lowest in G. Its
+    value is at most Tr G sigma = sum_a w_a <a|G|a>, so an oracle seeded
+    with it never returns more: the uncapped gap is >= 0 by construction."""
+    a = int(np.argmin(np.real(((vecs.conj() @ g_mat) * vecs).sum(axis=1))))
+    return [f[a : a + 1] for f in factors]
+
+
+def _interior_point(rho_mat, sigma, vecs, factors, sig: DimSig, partition: Partition, tr_rho_ln_rho: float):
+    """(obj, G, sigma_d, seeds) at sigma_d = (1 - CERT_MIX) sigma + CERT_MIX 1/D,
+    where an uncapped solve that did not stop at gap-tol takes its final
+    certificate.
+
+    sigma_d is separable, so D(rho || sigma_d) minus its own gap bounds the
+    optimum too, while near a singular sigma the gradient is dominated by
+    rho's weight on sigma's smallest eigenvalues and the gap at sigma itself
+    is loose. The seed is the lowest in G of sigma's atoms and of the
+    computational product basis, whose uniform mixture is 1/D, so the
+    oracle's value is at most Tr G sigma_d and the gap is >= 0."""
+    dim = len(sigma)
+    sigma_d = (1.0 - CERT_MIX) * sigma + (CERT_MIX / dim) * np.eye(dim)
+    obj, g_mat = _obj_and_grad(rho_mat, sigma_d, tr_rho_ln_rho)
+    values = np.real(((vecs.conj() @ g_mat) * vecs).sum(axis=1))
+    diag = np.real(np.diag(g_mat))
+    a, i = int(np.argmin(values)), int(np.argmin(diag))
+    seeds = _basis_factors(sig, partition, [i]) if diag[i] < values[a] else [f[a : a + 1] for f in factors]
+    return obj, g_mat, sigma_d, seeds
+
+
+def _factor_gradients(gpsi: np.ndarray, factors, dims, groups) -> list[np.ndarray]:
+    """Per group the stack (K, d_g) of c_k = (other factors of atom k)^dagger
+    G |psi_k>, from the rows G |psi_k> of gpsi (K, D): the derivative of
+    <psi_k|G|psi_k> in the conjugate of that group's factor."""
+    n_k = len(gpsi)
+    t = gpsi.reshape((n_k,) + tuple(dims))
+    full = "Z" + _LETTERS[: len(dims)]
+    subs = ["Z" + "".join(_LETTERS[s] for s in g) for g in groups]
+    ops = [f.conj().reshape([n_k] + [dims[s] for s in g]) for f, g in zip(factors, groups)]
+    out = []
+    for j in range(len(groups)):
+        rest = [i for i in range(len(groups)) if i != j]
+        expr = ",".join([full] + [subs[i] for i in rest]) + "->" + subs[j]
+        out.append(np.einsum(expr, t, *[ops[i] for i in rest]).reshape(n_k, -1))
+    return out
+
+
+def _refine(rho_mat, w, factors, dims, groups, obj, g_mat, tr_rho_ln_rho):
+    """Atom refinement with the weights held fixed (Zinchenko, Friedland &
+    Gour, PRA 82, 052336 (2010)): every factor f of every atom moves along
+    the Riemannian gradient of D(rho || sigma) on its unit sphere,
+    f <- normalize(f - eta (c - f <f|c>)), c from `_factor_gradients`, all
+    atoms with one step eta. eta starts at 1 / ||G|| (Frobenius) and halves
+    at most REFINE_HALVINGS times until the objective descends; a step
+    taken at its first try doubles eta for the next. The phase takes at most
+    REFINE_STEPS steps and ends at the first step that does not descend.
+    Returns (factors, vecs, sigma, obj, G) at the last accepted point, or
+    None if no step descended."""
+    accepted = None
+    eta = 1.0 / np.linalg.norm(g_mat)
+    vecs = _product_vectors(factors, dims, groups)
+    for _ in range(REFINE_STEPS):
+        cs = _factor_gradients(vecs @ g_mat.T, factors, dims, groups)
+        dirs = [c - f * (f.conj() * c).sum(axis=1, keepdims=True) for f, c in zip(factors, cs)]
+        for halvings in range(REFINE_HALVINGS + 1):
+            trial = [f - eta * d for f, d in zip(factors, dirs)]
+            trial = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in trial]
+            t_vecs = _product_vectors(trial, dims, groups)
+            t_sigma = _mixture(w, t_vecs)
+            t_obj, vs, k = _spectral_terms(rho_mat, t_sigma, tr_rho_ln_rho)
+            if t_obj < obj:
+                break
+            eta /= 2
+        else:
+            break
+        factors, vecs, obj, g_mat = trial, t_vecs, t_obj, _gradient(vs, k)
+        accepted = (factors, vecs, t_sigma, obj, g_mat)
+        if halvings == 0:  # taken at its first try: the next step tries twice as far
+            eta *= 2
+    return accepted
+
+
 def _basis_factors(sig: DimSig, partition: Partition, idx) -> list[np.ndarray]:
     """Per-group (len(idx), d_g) one-hot factor stacks of the product vectors e_idx."""
     coords = np.unravel_index(idx, sig.dims)
@@ -472,22 +640,30 @@ def relative_entropy_entanglement(
 
     With `constraint`, every iterate keeps Tr H sigma <= E: candidate
     atoms come from a multiplier sweep on G + mu H (mu in MU_GRID) and
-    line searches are clipped to the feasible segment (feasibility, not
-    per-step optimality, is guaranteed). Without one the solve is the same
-    with H = 0, E = inf and the single multiplier mu = 0, so no clip ever
-    binds. A cap at or above the largest product energy max_i H_ii binds
-    no state and is solved uncapped. Only descending candidates, those
-    with <v|G|v> < Tr G sigma, are line-searched. The gap is Lagrangian:
-    Tr G sigma - max_mu (min <G + mu H> - mu E) over the multipliers,
-    which under no cap is the plain conditional-gradient gap.
+    `_golden` line searches are clipped to the feasible segment
+    (feasibility, not per-step optimality, is guaranteed). Without one the
+    solve has H = 0, E = inf and the single multiplier mu = 0, and three
+    things change: the oracle is search-grade (LMO_SEARCH_SWEEPS sweeps)
+    with lane 0 seeded at sigma's atom lowest in G (`_lowest_atom`), so
+    every gap is >= 0; the line search is `_secant` on the slope; and
+    after the corrective pass `_refine` moves the atoms' factors with the
+    weights held. A cap at or above the largest product energy max_i H_ii
+    binds no state and is solved uncapped. Only descending candidates,
+    those with <v|G|v> < Tr G sigma, are line-searched. The gap is
+    Lagrangian: Tr G sigma - max_mu (min <G + mu H> - mu E) over the
+    multipliers, which under no cap is the plain conditional-gradient gap.
 
-    `status` is "gap-tol" once the gap is at most tol; "stalled" at the
-    first iteration whose sigma (after the corrective pass, pruning and
-    renormalization) equals the last bit for bit, or when the objective
-    fell by at most STALL_TOL over STALL_WINDOW iterations; else
-    "max-iters". One more oracle call at the final sigma gives the
-    reported gap, and `converged` is "gap-tol" or that gap <= tol.
-    Non-convergence returns the last iterate rather than raising.
+    `status` is "gap-tol" once the gap is at most tol (an uncapped gap
+    only when a seeded certificate-grade call, LMO_SWEEPS sweeps, at the
+    same sigma confirms it); "stalled" at the first iteration whose sigma
+    (after the corrective pass, pruning and renormalization) equals the
+    last bit for bit, or when the objective fell by at most STALL_TOL over
+    STALL_WINDOW iterations; else "max-iters". One more certificate-grade
+    oracle call at the final sigma gives the reported gap; an uncapped
+    "gap-tol" stop reuses its confirming call, and any other uncapped stop
+    takes the call, seeded, at the interior point of `_interior_point`.
+    `converged` is "gap-tol" or that gap <= tol. Non-convergence returns
+    the last iterate rather than raising.
     """
     if partition is None:
         partition = Partition.finest(rho.sig.nsys)
@@ -510,6 +686,7 @@ def relative_entropy_entanglement(
         if not e >= h.max():
             h_diag, e_cap, mus = h, e, MU_GRID
     h_mat = np.diag(h_diag)
+    capped = len(mus) > 1
 
     # the mixture: weights w, one (K, d_g) factor stack per partition group
     # and their stacked product vectors vecs (K x D), all masked alike
@@ -559,15 +736,24 @@ def relative_entropy_entanglement(
     obj_history: list[float] = []
     best_lower = -math.inf
 
+    def oracle(g_mat, sweeps):
+        if capped:  # one candidate atom per multiplier; mu = 0 stays G itself
+            stack = np.repeat(g_mat[None], len(mus), axis=0)
+            stack[1:] += mus[1:, None, None] * h_mat
+            return product_lmo(stack, rho.sig, partition, opts.restarts, rng, sweeps=sweeps)
+        seeds = _lowest_atom(g_mat, vecs, factors)
+        return product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng, sweeps=sweeps, seeds=seeds)
+
     # one eigendecomposition per iteration boundary: (obj, G) at the current
     # sigma feeds the oracle, the stall test and the final certificate
     obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
     for iterations in range(1, opts.max_iters + 1):
         base_val = float(np.real(np.trace(g_mat @ sigma)))
-        # one candidate atom per multiplier; mu = 0 stays G itself
-        stack = np.repeat(g_mat[None], len(mus), axis=0)
-        stack[1:] += mus[1:, None, None] * h_mat
-        cands = product_lmo(stack, rho.sig, partition, opts.restarts, rng)
+        # uncapped solves search with the light oracle and confirm a small
+        # gap with a certificate-grade call
+        cands = oracle(g_mat, LMO_SWEEPS if capped else LMO_SEARCH_SWEEPS)
+        if not capped and base_val - float(cands.values[0]) <= opts.tol:
+            cands = oracle(g_mat, LMO_SWEEPS)
         # Lagrangian lower bound on min Tr G sigma' over feasible sigma'; the
         # mu = 0 term stays out of mu E, which is 0 * inf with no cap
         lower = max(cands.values[0], (cands.values[1:] - mus[1:] * e_cap).max(initial=-math.inf))
@@ -591,7 +777,10 @@ def relative_entropy_entanglement(
         feasible = np.flatnonzero((t_max > 0.0) & (q < base_val))
         t_star = 0.0
         if len(feasible):
-            t_stars, vals = _line_search(rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho)
+            slopes = None if capped else q[feasible] - base_val
+            t_stars, vals = _line_search(
+                rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho, slopes
+            )
             k = int(np.argmin(vals))
             if vals[k] < obj - 1e-15:
                 t_star, pick = float(t_stars[k]), feasible[k]
@@ -618,6 +807,10 @@ def relative_entropy_entanglement(
             status = "stalled"
             break
         obj, g_mat = _obj_and_grad(rho_mat, sigma, tr_rho_ln_rho)
+        if not capped:
+            refined = _refine(rho_mat, w, factors, rho.sig.dims, partition.groups, obj, g_mat, tr_rho_ln_rho)
+            if refined is not None:
+                factors, vecs, sigma, obj, g_mat = refined
         obj_history.append(obj)
         # the heuristic gap can lag far behind the objective; stop once the
         # value itself has stopped moving
@@ -625,12 +818,23 @@ def relative_entropy_entanglement(
             status = "stalled"
             break
 
-    # refresh the certificate with a fresh linearization, then report the
-    # gap against the best lower bound seen anywhere on the trajectory
-    # (each iteration's obj - gap lower-bounds the optimum)
-    final = product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng)
-    final_gap = float(np.real(np.trace(g_mat @ sigma))) - float(final.values[0])
-    best_lower = max(best_lower, obj - final_gap)
+    # refresh the certificate with a fresh linearization (an uncapped stop at
+    # gap-tol reuses the call that confirmed it, any other uncapped stop takes
+    # it at an interior point), then report the gap against the best lower
+    # bound seen anywhere on the trajectory (each obj - gap lower-bounds the
+    # optimum up to the oracle's accuracy)
+    cert_obj, cert_g, cert_sigma = obj, g_mat, sigma
+    if capped:
+        final = product_lmo(g_mat[None], rho.sig, partition, opts.restarts, rng)
+    elif status == "gap-tol":
+        final = cands
+    else:
+        cert_obj, cert_g, cert_sigma, seeds = _interior_point(
+            rho_mat, sigma, vecs, factors, rho.sig, partition, tr_rho_ln_rho
+        )
+        final = product_lmo(cert_g[None], rho.sig, partition, opts.restarts, rng, seeds=seeds)
+    final_gap = float(np.real(np.trace(cert_g @ cert_sigma))) - float(final.values[0])
+    best_lower = max(best_lower, cert_obj - final_gap)
     sigma_op = DensityOp(rho.sig, sigma)
     value = relative_entropy(rho, sigma_op)
     gap = max(0.0, float(value) - best_lower)
@@ -820,8 +1024,9 @@ def truncation_limit_experiment(
     `projector_steps[k]` maps subsystem -> projector at step k; the
     sequences should increase to the identity. For each step and each m
     in `m_grid`, the compressed state is reduced to the first m
-    subsystems and solved with the finest partition. Steps whose
-    compression annihilates the state are skipped with a note.
+    subsystems and solved with the finest partition; each row carries its
+    solve's `status` and `iters`. Steps whose compression annihilates the
+    state are skipped with a note.
     """
     n = rho.sig.nsys
     if m_grid is None:
@@ -848,6 +1053,8 @@ def truncation_limit_experiment(
                     "c_k": c,
                     "value": sol.value,
                     "gap": sol.gap,
+                    "iters": sol.iterations,
+                    "status": sol.status,
                     "rel_change": rel,
                     "skipped": False,
                 }
@@ -964,7 +1171,8 @@ def sequence_convergence_demo(
     """Tabulate distances, mutual information and measure estimates along a sequence.
 
     A desk-scale illustration that the estimates track the limit state
-    whenever the mutual-information column does.
+    whenever the mutual-information column does. Each row carries its
+    solve's `status` and `iters`.
     """
     if partition is None:
         partition = Partition.finest(rho0.sig.nsys)
@@ -979,6 +1187,8 @@ def sequence_convergence_demo(
                 "qmi": mutual_information(state),
                 "value": sol.value,
                 "gap": sol.gap,
+                "iters": sol.iterations,
+                "status": sol.status,
             }
         )
     return rows

@@ -89,25 +89,30 @@ def test_gibbs_writes_the_entropy_ceiling(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, key, grid",
+    "config, keys, grid, stalled",
     [
-        ({"command": "er-reg", "k_max": 2}, "k", [1, 2]),
-        ({"command": "er-energy", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, 1.0]}, "E", [0.5, 1.0]),
+        ({"command": "er-reg", "k_max": 2}, ("k",), [(1,), (2,)], 0),
+        ({"command": "er-energy", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, 1.0]}, ("E",), [(0.5,), (1.0,)], 0),
+        ({"command": "fda", "rank_grid": [1, 2]}, ("k", "m"), [(0, 2), (1, 2)], 1),
+        ({"command": "theorem2", "ks": [2, 8]}, ("k",), [(0,), (1,), ("limit",)], 2),
     ],
-    ids=["er-reg", "er-energy"],
+    ids=["er-reg", "er-energy", "fda", "theorem2"],
 )
-def test_solver_records_say_why_each_solve_stopped(tmp_path, config, key, grid):
+def test_solver_records_say_why_each_solve_stopped(tmp_path, config, keys, grid, stalled):
     config = dict(config, state="fixture:bell", seed=0, opts={"max_iters": 20})
     record = run(config, out_dir=tmp_path)
     solves = json.loads((tmp_path / "record.json").read_text())["extra"]["solves"]
     assert solves == record["extra"]["solves"]
-    assert [s[key] for s in solves] == grid
+    assert [tuple(s[key] for key in keys) for s in solves] == grid
+    header = record["csv"]["header"]
     for s, row in zip(solves, record["csv"]["rows"]):
-        assert set(s) == {key, "status", "iters", "gap"}
+        assert set(s) == {*keys, "status", "iters", "gap"}
         assert s["status"] in ("gap-tol", "stalled", "max-iters")
-        assert [s["gap"], s["iters"]] == row[2:]
-    # Bell's uncapped and E = 0.5 solves stop on an unchanged sigma
-    assert solves[0]["status"] == "stalled"
+        assert s["gap"] == row[header.index("gap")]
+        if "iters" in header:
+            assert s["iters"] == row[header.index("iters")]
+    # Bell's uncapped solves and its E = 0.5 solve stop on an unchanged sigma
+    assert solves[stalled]["status"] == "stalled"
 
 
 def test_verify_zero_samples_vacuous_pass(tmp_path):

@@ -9,6 +9,8 @@ from qsep.entropy import conditional_entropy, relative_entropy, von_neumann_entr
 from qsep.fixtures import bell_state, geometric_correlation, get_fixture, gibbs_marginal_pair, maximally_correlated
 from qsep.qmat import DensityOp, DimSig, partial_trace, random_density, random_pure, top_projector
 from qsep.relent import (
+    LMO_SEARCH_SWEEPS,
+    LMO_SWEEPS,
     EnergyConstraint,
     Partition,
     SepAtom,
@@ -16,11 +18,15 @@ from qsep.relent import (
     _caratheodory,
     _corrective_pass,
     _golden,
+    _interior_point,
     _lift_atoms_to_power,
     _line_search,
+    _lowest_atom,
     _mixture,
     _obj_and_grad,
     _objective,
+    _product_vectors,
+    _refine,
     atom_vector,
     energy_sweep,
     product_lmo,
@@ -193,8 +199,38 @@ class TestProductLmo:
             assert res.vectors[b].tobytes() == vec.tobytes()
             assert float(res.values[b]).hex() == float(np.real(vec.conj() @ g @ vec)).hex()
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+        extra=st.integers(0, 8),
+        restarts=st.integers(1, 8),
+        sweeps=st.sampled_from([1, LMO_SEARCH_SWEEPS, LMO_SWEEPS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seeded_oracle_never_exceeds_mixture_value(self, dims, extra, restarts, sweeps, seed):
+        # Tr G sigma = sum_a w_a <a|G|a> is at least the value of sigma's
+        # lowest atom, where lane 0 starts; alternating updates only descend
+        rng = np.random.default_rng(seed)
+        sig, part = DimSig(dims), Partition.finest(len(dims))
+        rho = random_density(dims, sig.total, seed=int(rng.integers(2**32)))
+        n_atoms = sig.total + extra
+        factors = [np.stack([unit(rng, d) for _ in range(n_atoms)]) for d in dims]
+        vecs = _product_vectors(factors, dims, part.groups)
+        sigma = _mixture(rng.dirichlet(np.ones(n_atoms)), vecs)
+        _, g_mat = _obj_and_grad(rho.mat, sigma, -von_neumann_entropy(rho))
+        seeds = _lowest_atom(g_mat, vecs, factors)
+        res = product_lmo(g_mat[None], sig, part, restarts, rng, sweeps=sweeps, seeds=seeds)
+        assert res.values[0] <= np.real(np.trace(g_mat @ sigma)) + 1e-15
+        # the interior certificate point mixes in 1/D, which the computational
+        # product basis makes up; its seed bounds Tr G sigma_d the same way
+        _, g_d, sigma_d, seeds_d = _interior_point(rho.mat, sigma, vecs, factors, sig, part, -von_neumann_entropy(rho))
+        res = product_lmo(g_d[None], sig, part, restarts, rng, sweeps=sweeps, seeds=seeds_d)
+        assert res.values[0] <= np.real(np.trace(g_d @ sigma_d)) + 1e-15
+
+
 class TestLineSearch:
     def test_each_candidate_matches_scalar_golden(self):
+        # the capped search: no slopes given
         sig = DimSig((2, 3))
         rho = random_density((2, 3), 6, seed=4)
         sigma = 0.5 * random_separable((2, 3), 5, seed=6).mat + 0.5 * np.eye(6) / 6
@@ -260,6 +296,69 @@ class TestLineSearch:
         for vecs, t_maxs in ((v[None], [t_max]), (np.stack([v, v]), [t_max, 1.0])):
             _, vals = _line_search(rho.mat, sigma, vecs, np.array(t_maxs), tr_rho_ln_rho)
             assert vals.min() >= obj - 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]), seed=st.integers(0, 2**32 - 1))
+    def test_uncapped_search_finds_the_slope_root(self, dims, seed):
+        # the uncapped search stops where h'(t) = <v|G_t|v> - Tr G_t sigma
+        # vanishes, below h(0), and no worse than the golden-section search
+        rng = np.random.default_rng(seed)
+        sig = DimSig(dims)
+        rho = random_density(dims, sig.total, seed=int(rng.integers(2**32)))
+        sigma = random_separable(dims, 2 * sig.total, seed=int(rng.integers(2**32))).mat
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        obj, g_mat = _obj_and_grad(rho.mat, sigma, tr_rho_ln_rho)
+        base = float(np.real(np.trace(g_mat @ sigma)))
+        vec = product_lmo(g_mat[None], sig, Partition.finest(len(dims)), rng=rng).vectors[0]
+        slope0 = float(np.real(vec.conj() @ g_mat @ vec)) - base
+        assert slope0 < 0.0
+        t_stars, vals = _line_search(rho.mat, sigma, vec[None], np.ones(1), tr_rho_ln_rho, np.array([slope0]))
+        t_star, val = float(t_stars[0]), float(vals[0])
+        assert 0.0 < t_star < 1.0 and val < obj
+        sigma_t = (1.0 - t_star) * sigma + t_star * np.outer(vec, vec.conj())
+        assert abs(val - _objective(rho.mat, sigma_t, tr_rho_ln_rho)) <= 1e-14
+        _, g_t = _obj_and_grad(rho.mat, sigma_t, tr_rho_ln_rho)
+        slope = float(np.real(vec.conj() @ g_t @ vec - np.trace(g_t @ sigma)))
+        assert abs(slope) <= 1e-6 * abs(slope0)
+        direction = np.outer(vec, vec.conj())
+
+        def h(t):
+            return _objective(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+
+        assert val <= h(_golden(h, 0.0, 1.0)) + 1e-14
+
+    def test_uncapped_search_reaches_the_endpoint(self):
+        # rho = |v><v| is a product state: h descends all the way to sigma = rho
+        sig = DimSig((2, 3))
+        rng = np.random.default_rng(14)
+        vec = atom_vector(SepAtom((unit(rng, 2), unit(rng, 3))), sig, Partition.finest(2))
+        rho = dop((2, 3), np.outer(vec, vec.conj()))
+        sigma = random_separable((2, 3), 12, seed=15).mat
+        obj, g_mat = _obj_and_grad(rho.mat, sigma, 0.0)
+        slope0 = float(np.real(vec.conj() @ g_mat @ vec - np.trace(g_mat @ sigma)))
+        t_stars, vals = _line_search(rho.mat, sigma, vec[None], np.ones(1), 0.0, np.array([slope0]))
+        assert slope0 < 0.0 and obj > 0.1
+        assert t_stars[0] >= 1.0 - 1e-12 and abs(vals[0]) <= 1e-12
+
+    def test_repeated_row_copies_its_uncapped_search(self, monkeypatch):
+        import qsep.relent as relent_mod
+
+        sig = DimSig((2, 2))
+        rho = random_density((2, 2), 4, seed=8)
+        sigma = random_separable((2, 2), 6, seed=9).mat
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        _, g_mat = _obj_and_grad(rho.mat, sigma, tr_rho_ln_rho)
+        vecs = product_lmo(np.stack([g_mat, g_mat + np.diag([0.0, 1.0, 1.0, 2.0])]), sig, Partition.finest(2)).vectors
+        vecs = np.stack([vecs[0], vecs[1], vecs[0]])
+        slopes = np.real(((vecs.conj() @ g_mat) * vecs).sum(axis=1)) - np.real(np.trace(g_mat @ sigma))
+        want = [_line_search(rho.mat, sigma, vecs[k : k + 1], np.ones(1), tr_rho_ln_rho, slopes[k : k + 1]) for k in range(3)]
+        searches = []
+        secant = relent_mod._secant
+        monkeypatch.setattr(relent_mod, "_secant", lambda *args: searches.append(args[3]) or secant(*args))
+        t_stars, vals = _line_search(rho.mat, sigma, vecs, np.ones(3), tr_rho_ln_rho, slopes)
+        assert searches == [slopes[0], slopes[1]]
+        assert t_stars.tobytes() == np.concatenate([t for t, _ in want]).tobytes()
+        assert vals.tobytes() == np.concatenate([v for _, v in want]).tobytes()
 
 
 class TestCorrectivePass:
@@ -341,6 +440,39 @@ class TestCorrectivePass:
         assert np.array_equal(w, w0)
 
 
+class TestRefinement:
+    @pytest.mark.parametrize("dims, groups", [((2, 2), None), ((2, 3, 2), ((0, 2), (1,)))], ids=["2x2", "2x3x2-grouped"])
+    def test_descends_with_unit_factors_and_fixed_weights(self, dims, groups):
+        sig = DimSig(dims)
+        part = Partition(groups) if groups else Partition.finest(len(dims))
+        rng = np.random.default_rng(17)
+        rho = random_density(dims, sig.total, seed=18)
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        gdims = [int(np.prod([dims[s] for s in g])) for g in part.groups]
+        factors = [np.stack([unit(rng, d) for _ in range(2 * sig.total)]) for d in gdims]
+        w = rng.dirichlet(np.ones(2 * sig.total))
+        obj, g_mat = _obj_and_grad(rho.mat, _mixture(w, _product_vectors(factors, dims, part.groups)), tr_rho_ln_rho)
+        new_factors, vecs, sigma, new_obj, new_grad = _refine(rho.mat, w, factors, dims, part.groups, obj, g_mat, tr_rho_ln_rho)
+        assert new_obj < obj - 1e-6
+        for f in new_factors:
+            assert np.abs(np.linalg.norm(f, axis=1) - 1.0).max() < 1e-14
+        assert np.array_equal(vecs, _product_vectors(new_factors, dims, part.groups))
+        assert np.array_equal(sigma, _mixture(w, vecs))
+        ref_obj, ref_grad = _obj_and_grad(rho.mat, sigma, tr_rho_ln_rho)
+        assert new_obj == ref_obj and np.array_equal(new_grad, ref_grad)
+
+    def test_stationary_atoms_are_left_alone(self):
+        # (|00><00| + |11><11|) / 2 is Bell's closest separable state: every
+        # factor's Riemannian gradient vanishes, so no step descends
+        bell = bell_state()
+        e = np.eye(2, dtype=complex)
+        factors = [e.copy(), e.copy()]
+        w = np.array([0.5, 0.5])
+        obj, g_mat = _obj_and_grad(bell.mat, _mixture(w, _product_vectors(factors, (2, 2), ((0,), (1,)))), 0.0)
+        assert abs(obj - math.log(2)) < 1e-15
+        assert _refine(bell.mat, w, factors, (2, 2), ((0,), (1,)), obj, g_mat, 0.0) is None
+
+
 class TestSolverCore:
     def test_pure_product_zero(self):
         v = np.kron([1.0, 0.0], [0.6, 0.8])
@@ -397,12 +529,13 @@ class TestSolverCore:
         )
 
     def test_returned_atoms_rebuild_sigma_grouped(self):
-        # few iterations, so atoms of the start survive; on the group {0, 2}
-        # their factors index a non-contiguous pair of subsystems
+        # few iterations, so the start's atoms survive, every one moved by
+        # refinement; on the group {0, 2} their factors index a
+        # non-contiguous pair of subsystems
         rho = random_density((2, 3, 2), 12, seed=8)
         part = Partition(((0, 2), (1,)))
         sol = relative_entropy_entanglement(rho, part, SolverOpts(max_iters=2))
-        assert self.start_atom_count(sol, rho, part) >= 2
+        assert len(sol.atoms) >= rho.sig.total and self.start_atom_count(sol, rho, part) == 0
         rebuilt = atom_mixture(sol.atoms, rho.sig, part)
         assert np.abs(rebuilt - sol.sigma.mat).max() < 1e-12
 
@@ -420,14 +553,16 @@ class TestSolverCore:
         with pytest.raises(ValueError, match="partition"):
             relative_entropy_entanglement(bell_state(), Partition.finest(3))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="stalls on a singular sigma: from the 4th step every line search returns t* = 4.65e-11",
-    )
     def test_w3_reaches_closed_form(self):
         # E_R(W3) = ln(9/4) for the finest partition
         sol = relative_entropy_entanglement(get_fixture("w3"), opts=SolverOpts(max_iters=150))
-        assert sol.value <= math.log(9 / 4) + 1e-3
+        assert abs(sol.value - math.log(9 / 4)) <= 1e-9
+
+    def test_w3_vacuous_cap_sweep_point_reaches_closed_form(self):
+        # no sigma of three qubits under diag(0, 1) has energy above 3, so
+        # E = 4 is solved uncapped, warm-started from the E = 0.5 atoms
+        rows = energy_sweep(get_fixture("w3"), None, (QUBIT_H,) * 3, [0.5, 4.0], SolverOpts(max_iters=150))
+        assert abs(rows[1]["value"] - math.log(9 / 4)) <= 1e-9
 
     def test_partition_monotonicity(self):
         rho = random_pure((2, 2, 2), seed=31)
@@ -448,22 +583,48 @@ class TestSolverCore:
             relative_entropy_entanglement(bell_state(), None, SolverOpts(max_iters=5), initial_atoms=atoms)
 
 
+def isotropic(d, fidelity):
+    """F |phi><phi| + (1 - F) (1 - |phi><phi|) / (d^2 - 1), phi maximally entangled."""
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    p = np.outer(phi, phi)
+    return dop((d, d), fidelity * p + (1.0 - fidelity) / (d * d - 1) * (np.eye(d * d) - p))
+
+
+def isotropic_er(d, fidelity) -> float:
+    """Rains, PRA 60, 179 (1999): ln d + F ln F + (1 - F) ln((1 - F) / (d - 1)) for F > 1/d."""
+    return math.log(d) + fidelity * math.log(fidelity) + (1.0 - fidelity) * math.log((1.0 - fidelity) / (d - 1))
+
+
 class TestStopStatus:
-    """Why a solve stopped. Values are pinned to the last bit where the stop
-    at the first unchanged sigma ends the solve before the 20-iteration
-    stall test did: both stops leave the same sigma."""
+    """Why a solve stopped. Capped values are pinned to the last bit where
+    the stop at the first unchanged sigma ends the solve before the
+    20-iteration stall test did: both stops leave the same sigma."""
+
+    @staticmethod
+    def check_pure_state(seed):
+        # E_R of a pure state is S(rho_A); the optimum has rank 3 of 9
+        rho = random_pure((3, 3), seed=seed)
+        sol = relative_entropy_entanglement(rho)
+        assert (sol.status, sol.converged) == ("gap-tol", True)
+        assert abs(sol.value - von_neumann_entropy(partial_trace(rho, [0]))) <= 1e-12
 
     def test_pure_state_ends_at_gap_tol(self):
-        sol = relative_entropy_entanglement(random_pure((3, 3), seed=0))
-        assert (sol.status, sol.converged) == ("gap-tol", True)
+        self.check_pure_state(0)
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_pure_states_end_at_gap_tol_with_exact_value(self, seed):
+        # seeds 1 and 6 stopped `stalled` on false gaps of 8.6e-3 and 8.5e-2
+        self.check_pure_state(seed)
 
     def test_iteration_budget_ends_at_max_iters(self):
         sol = relative_entropy_entanglement(random_density((2, 2), 4, seed=1), None, SolverOpts(max_iters=5))
         assert (sol.status, sol.iterations, sol.converged) == ("max-iters", 5, False)
 
     def test_bell_stalls_at_first_unchanged_sigma(self, monkeypatch):
-        # iteration 1 steps to ln 2; iteration 2 rebuilds the same sigma,
-        # which is not evaluated again
+        # iteration 1 steps to ln 2 and refines (whose steps take their
+        # gradient from `_gradient`); iteration 2 rebuilds the same sigma,
+        # which is not evaluated again; the last evaluation is the final
+        # certificate's interior point
         import qsep.relent as relent_mod
 
         sigmas = []
@@ -476,9 +637,11 @@ class TestStopStatus:
         monkeypatch.setattr(relent_mod, "_obj_and_grad", record_sigma)
         sol = relative_entropy_entanglement(bell_state())
         assert (sol.status, sol.iterations) == ("stalled", 2)
-        assert sol.value == float.fromhex("0x1.62e42fefa39f2p-1")
-        assert len(sigmas) == 2 and not np.array_equal(sigmas[0], sigmas[1])
-        assert np.array_equal(sol.sigma.mat, sigmas[1])
+        assert abs(sol.value - math.log(2)) <= 1e-12
+        assert len(sigmas) == 3 and not np.array_equal(sigmas[0], sigmas[1])
+        interior = (1.0 - relent_mod.CERT_MIX) * sol.sigma.mat + (relent_mod.CERT_MIX / 4) * np.eye(4)
+        assert np.array_equal(sigmas[2], interior)
+        assert sol.gap <= 1e-7 and sol.converged
 
     @pytest.mark.parametrize(
         "name, value, iterations",
@@ -494,12 +657,18 @@ class TestStopStatus:
 
     def test_descending_solve_keeps_value_and_iterations(self):
         # the benchmark's isotropic 2x2 F = 0.8 anchor never repeats a sigma
-        phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-        p = np.outer(phi, phi.conj())
-        rho = dop((2, 2), 0.8 * p + (1.0 - 0.8) / 3 * (np.eye(4) - p))
-        sol = relative_entropy_entanglement(rho, None, SolverOpts(max_iters=150))
-        assert (sol.status, sol.iterations) == ("gap-tol", 25)
-        assert sol.value == float.fromhex("0x1.8abdc36a341b8p-3")
+        sol = relative_entropy_entanglement(isotropic(2, 0.8), None, SolverOpts(max_iters=150))
+        assert sol.status == "gap-tol" and sol.iterations < 150
+        assert abs(sol.value - isotropic_er(2, 0.8)) <= 1e-12
+
+    @pytest.mark.parametrize("d, fidelity", [(2, 0.8), (3, 0.7)])
+    def test_isotropic_certificate_stays_below_closed_form(self, d, fidelity):
+        # the benchmark's isotropic anchors: with the seeded oracle no gap
+        # is negative, so value - gap never rises above E_R
+        closed = isotropic_er(d, fidelity)
+        sol = relative_entropy_entanglement(isotropic(d, fidelity), None, SolverOpts(max_iters=150))
+        assert closed - 1e-12 <= sol.value <= closed + 1e-9
+        assert sol.value - sol.gap <= closed + 1e-9
 
 
 def shannon(p) -> float:
@@ -641,9 +810,9 @@ class TestEnergyConstrained:
         stacks = []
         oracle = relent_mod.product_lmo
 
-        def counted(g_mats, *args):
+        def counted(g_mats, *args, **kwargs):
             stacks.append(len(g_mats))
-            return oracle(g_mats, *args)
+            return oracle(g_mats, *args, **kwargs)
 
         monkeypatch.setattr(relent_mod, "product_lmo", counted)
         constraint = EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=E)
@@ -936,6 +1105,13 @@ class TestTruncationLimit:
         vals = [r["value"] for r in rows]
         assert abs(vals[0] - vals[1]) < 1e-5
 
+    def test_rows_say_why_each_solve_stopped(self):
+        rho = random_density((2, 2), 4, seed=7)
+        steps = [{0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)}]
+        row = truncation_limit_experiment(rho, steps, [2], opts=SolverOpts(max_iters=5))[0]
+        sol = relative_entropy_entanglement(rho, None, SolverOpts(max_iters=5))
+        assert (row["status"], row["iters"], row["value"]) == (sol.status, sol.iterations, sol.value)
+
     def test_bell_embedded_in_qutrits_exact_at_rank_two(self):
         mat = np.zeros((9, 9), dtype=complex)
         v = np.zeros(9)
@@ -1010,6 +1186,13 @@ class TestConvergenceDemo:
         vals = [r["value"] for r in rows]
         assert max(vals) - min(vals) < 1e-6
         assert all(r["trace_distance"] < 1e-12 for r in rows)
+
+    def test_rows_say_why_each_solve_stopped(self):
+        rho = random_density((2, 2), 4, seed=7)
+        rows = sequence_convergence_demo([rho], bell_state(), opts=SolverOpts(max_iters=5))
+        for row, state in zip(rows, (rho, bell_state())):
+            sol = relative_entropy_entanglement(state, None, SolverOpts(max_iters=5))
+            assert (row["status"], row["iters"], row["value"]) == (sol.status, sol.iterations, sol.value)
 
     def test_bell_interpolation_tracks_limit(self):
         bell = bell_state()
