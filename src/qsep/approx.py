@@ -25,7 +25,10 @@ from .qmat import (
     HERM_TOL,
     DensityOp,
     SpectralDecomp,
+    _conj_t,
     _herm_violation,
+    _reduce,
+    _rows,
     column_projector,
     eigh,
     hermitian_part,
@@ -123,29 +126,6 @@ def _isometry(p, s: int, d: int) -> np.ndarray:
             f"Hermiticity residual {res:.3e}, eigenvalues {spread:.3e} away from 0 or 1"
         )
     return v[:, w > 0.5]
-
-
-def _rows(x: np.ndarray, factors: list, dims) -> np.ndarray:
-    """Left-multiply x, whose rows are indexed by subsystems of `dims`, by
-    one factor per subsystem (None is the identity), one matmul each."""
-    a = 1
-    for f, d in zip(factors, dims):
-        if f is not None:
-            x = np.matmul(f, x.reshape(a, d, -1))
-            d = f.shape[0]
-        a *= d
-    return x.reshape(a, -1)
-
-
-def _conj_t(x: np.ndarray) -> np.ndarray:
-    return np.conjugate(x.T, out=np.empty(x.shape[::-1], dtype=x.dtype))
-
-
-def _reduce(mat: np.ndarray, vs: list, dims) -> np.ndarray:
-    """Kept core W^dagger mat W of a Hermitian mat, W the product of the
-    isometries `vs` (None is the identity): rows, a conjugate transpose, rows."""
-    vh = [None if v is None else v.conj().T for v in vs]
-    return _rows(_conj_t(_rows(mat, vh, dims)), vh, dims)
 
 
 def _expand(sig, core: np.ndarray, vs: list, kept) -> tuple[DensityOp | None, float]:

@@ -4,8 +4,9 @@ library operations, and emits deterministic CSV/JSON artifacts.
 Every run is driven by a single self-contained JSON config document (no
 settings come from environment variables), so identical configs with
 identical seeds produce byte-identical CSV output. Wall-clock time and the
-environment (Python and numpy versions, CPU count, BLAS/OpenMP thread
-variables) are recorded only in the JSON run record, never in the CSV.
+environment (Python and numpy versions, the BLAS build, CPU count,
+BLAS/OpenMP thread variables) are recorded only in the JSON run record,
+never in the CSV.
 The process exits nonzero whenever a run produced inequality-violation
 rows.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .approx import BoundTemplate, qmi_function, truncation_experiment
-from .entropy import mutual_information, von_neumann_entropy
+from .entropy import entropy_terms, mutual_information
 from .fixtures import FIXTURE_VERSION, FIXTURES, get_fixture
 from .gibbs import max_entropy, solve_beta
 from .qmat import DensityOp, column_projector, eigh, load_state, partial_trace, random_density, random_pure
@@ -126,12 +127,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _cmd_entropy(config: dict):
     rho = resolve_state(_require(config, "state"))
-    groups = config.get("groups")
-    rows = [["S", von_neumann_entropy(rho)]]
-    for s in range(rho.sig.nsys):
-        rows.append([f"S_marginal_{s}", von_neumann_entropy(partial_trace(rho, [s]))])
+    terms = entropy_terms(rho)
+    rows = [["S", terms[0]]] + [[f"S_marginal_{s}", v] for s, v in enumerate(terms[1])]
     if rho.sig.nsys > 1:
-        rows.append(["QMI", mutual_information(rho, groups)])
+        rows.append(["QMI", mutual_information(rho, config.get("groups"), terms)])
     return ["quantity", "value"], rows, {}, []
 
 
@@ -331,7 +330,7 @@ def _cmd_verify(config: dict):
     )
     header = ["check", "sample", "margin"]
     rows = [[r["check"], r["sample"], r["margin"]] for r in report["rows"]]
-    return header, rows, {"checked": len(report["rows"])}, report["violations"]
+    return header, rows, {"checked": len(report["rows"]), "solves": report["solves"]}, report["violations"]
 
 
 def _cmd_theorem2(config: dict):
@@ -364,6 +363,14 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _blas() -> dict | None:
+    """numpy's BLAS build dependency, or None when numpy does not report one."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return None
+
+
 def run(config: dict, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment config; returns the run record (also written to disk).
 
@@ -390,6 +397,7 @@ def run(config: dict, out_dir: str | Path | None = None) -> dict:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas(),
             "cpu_count": os.cpu_count(),
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         },

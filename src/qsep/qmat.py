@@ -2,8 +2,9 @@
 
 Everything here works on explicit numpy matrices at desk scale (total
 dimension up to a few thousand). States carry a dimension signature so
-that tensor products, partial traces and per-subsystem spectral
-projectors agree on how the big matrix factors into subsystems.
+that tensor products, partial traces, per-subsystem spectral projectors
+and local-isometry reductions agree on how the big matrix factors into
+subsystems.
 Subsystems are indexed from 0.
 """
 
@@ -196,6 +197,29 @@ def partial_trace(rho: DensityOp, keep) -> DensityOp:
     d = int(np.prod([dims[k] for k in keep]))
     out = t.reshape(d, d)
     return DensityOp(DimSig(tuple(dims[k] for k in keep)), hermitian_part(out))
+
+
+def _rows(x: np.ndarray, factors: list, dims) -> np.ndarray:
+    """Left-multiply x, whose rows are indexed by subsystems of `dims`, by
+    one factor per subsystem (None is the identity), one matmul each."""
+    a = 1
+    for f, d in zip(factors, dims):
+        if f is not None:
+            x = np.matmul(f, x.reshape(a, d, -1))
+            d = f.shape[0]
+        a *= d
+    return x.reshape(a, -1)
+
+
+def _conj_t(x: np.ndarray) -> np.ndarray:
+    return np.conjugate(x.T, out=np.empty(x.shape[::-1], dtype=x.dtype))
+
+
+def _reduce(mat: np.ndarray, vs: list, dims) -> np.ndarray:
+    """Kept core W^dagger mat W of a Hermitian mat, W the product of the
+    isometries `vs` (None is the identity): rows, a conjugate transpose, rows."""
+    vh = [None if v is None else v.conj().T for v in vs]
+    return _rows(_conj_t(_rows(mat, vh, dims)), vh, dims)
 
 
 def trace_norm(m) -> float:

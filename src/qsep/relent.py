@@ -1090,24 +1090,31 @@ def verify_er_inequalities(
     (value - gap) lower certificates on the large side, so a pass is
     meaningful despite the heuristic oracle. Every solve uses the finest
     partition. Violations beyond gap + VERIFY_SLACK are reported with
-    margins.
+    margins. `solves` holds one entry per solve, in order: its check,
+    sample, `term` (mixing: rho, sigma or mixture) or `pair` (the
+    pure-monogamy reductions) where there is one, status, iters and gap.
     """
     opts = opts or SolverOpts()
     rows = []
+    solves = []
 
-    def solve(state: DensityOp) -> ERSolution:
-        return relative_entropy_entanglement(state, None, opts)
+    def solve(state: DensityOp, check: str, sample: int, **where) -> ERSolution:
+        sol = relative_entropy_entanglement(state, None, opts)
+        solves.append(
+            {"check": check, "sample": sample, **where, "status": sol.status, "iters": sol.iterations, "gap": sol.gap}
+        )
+        return sol
 
     for i, rho in enumerate(er_ub_samples):
-        sol = solve(rho)
+        sol = solve(rho, "marginal-upper", i)
         bound = _marginal_entropy_sums(rho)
         margin = bound + VERIFY_SLACK - sol.value
         rows.append({"check": "marginal-upper", "sample": i, "value": sol.value, "bound": bound, "margin": margin})
 
     for i, (rho, sig2, p) in enumerate(mixing_samples):
-        sol_r, sol_s = solve(rho), solve(sig2)
+        sol_r, sol_s = solve(rho, "mixing", i, term="rho"), solve(sig2, "mixing", i, term="sigma")
         mix = DensityOp(rho.sig, p * rho.mat + (1 - p) * sig2.mat)
-        sol_m = solve(mix)
+        sol_m = solve(mix, "mixing", i, term="mixture")
         lhs = p * max(0.0, sol_r.value - sol_r.gap) + (1 - p) * max(0.0, sol_s.value - sol_s.gap)
         rhs = sol_m.value + binary_entropy(p)
         margin = rhs + VERIFY_SLACK - lhs
@@ -1116,7 +1123,7 @@ def verify_er_inequalities(
     for i, rho in enumerate(lb1_samples):
         if rho.sig.nsys != 2:
             raise ValueError("conditional-entropy lower bounds need bipartite samples")
-        sol = solve(rho)
+        sol = solve(rho, "neg-conditional-lower", i)
         for a in (0, 1):
             lower = -conditional_entropy(rho, part=a)
             margin = sol.value + VERIFY_SLACK - lower
@@ -1136,11 +1143,11 @@ def verify_er_inequalities(
         purity = float(np.real(np.trace(rho.mat @ rho.mat)))
         if purity < 1.0 - 1e-8:
             raise ValueError("pure-state monogamy checks need pure samples")
-        sol_full = solve(rho)
+        sol_full = solve(rho, "pure-monogamy", i)
         lhs = max(0.0, sol_full.value - sol_full.gap)
         for i_, j_ in ((0, 1), (1, 2), (2, 0)):
             red = partial_trace(rho, [i_, j_])
-            sol_ij = solve(red)
+            sol_ij = solve(red, "pure-monogamy", i, pair=[i_, j_])
             rhs = sol_ij.value + von_neumann_entropy(red)
             margin = lhs + VERIFY_SLACK - rhs
             row = {
@@ -1154,7 +1161,7 @@ def verify_er_inequalities(
             rows.append(row)
 
     violations = [r for r in rows if r["margin"] < 0]
-    return {"rows": rows, "violations": violations, "ok": not violations}
+    return {"rows": rows, "violations": violations, "ok": not violations, "solves": solves}
 
 
 # ---------------------------------------------------------------------------

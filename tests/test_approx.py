@@ -560,16 +560,48 @@ class TestExperimentHarness:
 
         rho = correlated_geometric_state(0.02, 4, 3)
         states = [rho] + [truncation_map(rho, [0, 1, 2], r)[0] for r in (1, 2, 3)]
-        f = qmi_function(channel_specs=[("depolarizing", 0.05), ("dephasing", 0.1), "identity"])
+        specs = [("depolarizing", 0.05), ("dephasing", 0.1), "identity"]
+        f = qmi_function(channel_specs=specs)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         fast = [f(x) for x in states]
         assert calls == []
-        monkeypatch.setattr(
-            entropy_mod, "von_neumann_entropy", lambda x: _eta_sum(eigvalsh(x.mat))
-        )
+        # the dense QMI, summed in mutual_information's order
+        for x, got in zip(states, fast):
+            y = make_channel_product(specs)(x)
+            dense = -_eta_sum(eigvalsh(y.mat))
+            for s in range(3):
+                dense += _eta_sum(eigvalsh(partial_trace(y, [s]).mat))
+            assert got == dense
+        # with no matrix taken as diagonal, every spectrum comes from eigvalsh
+        # and the joint one from the core on the marginal supports (the
+        # truncated states' marginals have rank r < 4); the bits must not move
+        monkeypatch.setattr(entropy_mod, "_is_diagonal", lambda m: False)
         assert fast == [f(x) for x in states]
+        # marginals and the rank-1 core (4), the rank-2 and -3 cores, rho
+        assert {m.shape[0] for m in calls} == {4, 16, 36, 64}
+
+    def test_rank_deficient_marginal_shrinks_the_joint_eigensolve(self, monkeypatch):
+        # a locally rotated correlated state, truncated to rank 2: the two
+        # depolarized marginals regain full rank, the untouched third keeps
+        # rank 2, so the joint spectrum is taken on 6 * 6 * 2 = 72 dimensions
+        rng = np.random.default_rng(2406)
+        rho = correlated_geometric_state(0.3, 6, 3)
+        u = [np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0] for _ in range(3)]
+        w = product_operator(dict(enumerate(u)), rho.sig)
+        rho = DensityOp(rho.sig, w @ rho.mat @ w.conj().T)
+        out = truncation_map(rho, [0, 1, 2], 2)[0]
+        f = qmi_function(channel_specs=[("depolarizing", 0.05), ("depolarizing", 0.1), "identity"])
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or eigvalsh(m))
+        got = f(out)
+        assert sizes == [6, 6, 6, 72]
+        monkeypatch.undo()
+        chan = make_channel_product([("depolarizing", 0.05), ("depolarizing", 0.1), "identity"])(out)
+        dense = sum(_eta_sum(eigvalsh(partial_trace(chan, [s]).mat)) for s in range(3)) - _eta_sum(eigvalsh(chan.mat))
+        assert abs(got - dense) < 1e-12
 
 
 class TestOnePassExperiment:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qsep.cli import ConfigError, main, run
+from qsep.cli import COMMANDS, ConfigError, main, run
 from qsep.entropy import g_entropy, von_neumann_entropy
 from qsep.fixtures import FIXTURES, geometric_correlation, get_fixture
 from qsep.qmat import DensityOp, DimSig, load_state, save_state
@@ -88,31 +88,62 @@ def test_gibbs_writes_the_entropy_ceiling(tmp_path):
         assert ratio == ceiling / e
 
 
+VERIFY_SAMPLES = {
+    "er_ub": {"dims": [2, 2], "rank": 4, "count": 1},
+    "mixing": {"count": 1},
+    "lb1": {"count": 1},
+    "lb2": {"count": 1},
+}
+VERIFY_GRID = [
+    ("marginal-upper", 0, None, None),
+    ("mixing", 0, "rho", None),
+    ("mixing", 0, "sigma", None),
+    ("mixing", 0, "mixture", None),
+    ("neg-conditional-lower", 0, None, None),
+    ("pure-monogamy", 0, None, None),
+    ("pure-monogamy", 0, None, [0, 1]),
+    ("pure-monogamy", 0, None, [1, 2]),
+    ("pure-monogamy", 0, None, [2, 0]),
+]
+
+
 @pytest.mark.parametrize(
-    "config, keys, grid, stalled",
+    "config, keys, grid, stop",
     [
-        ({"command": "er-reg", "k_max": 2}, ("k",), [(1,), (2,)], 0),
-        ({"command": "er-energy", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, 1.0]}, ("E",), [(0.5,), (1.0,)], 0),
-        ({"command": "fda", "rank_grid": [1, 2]}, ("k", "m"), [(0, 2), (1, 2)], 1),
-        ({"command": "theorem2", "ks": [2, 8]}, ("k",), [(0,), (1,), ("limit",)], 2),
+        ({"command": "er-reg", "k_max": 2}, ("k",), [(1,), (2,)], (0, "stalled")),
+        (
+            {"command": "er-energy", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, 1.0]},
+            ("E",), [(0.5,), (1.0,)], (0, "stalled"),
+        ),
+        ({"command": "fda", "rank_grid": [1, 2]}, ("k", "m"), [(0, 2), (1, 2)], (1, "stalled")),
+        ({"command": "theorem2", "ks": [2, 8]}, ("k",), [(0,), (1,), ("limit",)], (2, "stalled")),
+        (
+            {"command": "verify", "samples": VERIFY_SAMPLES},
+            ("check", "sample", "term", "pair"), VERIFY_GRID, (3, "gap-tol"),
+        ),
     ],
-    ids=["er-reg", "er-energy", "fda", "theorem2"],
+    ids=["er-reg", "er-energy", "fda", "theorem2", "verify"],
 )
-def test_solver_records_say_why_each_solve_stopped(tmp_path, config, keys, grid, stalled):
+def test_solver_records_say_why_each_solve_stopped(tmp_path, config, keys, grid, stop):
     config = dict(config, state="fixture:bell", seed=0, opts={"max_iters": 20})
     record = run(config, out_dir=tmp_path)
     solves = json.loads((tmp_path / "record.json").read_text())["extra"]["solves"]
     assert solves == record["extra"]["solves"]
-    assert [tuple(s[key] for key in keys) for s in solves] == grid
+    assert [tuple(s.get(key) for key in keys) for s in solves] == grid
     header = record["csv"]["header"]
-    for s, row in zip(solves, record["csv"]["rows"]):
-        assert set(s) == {*keys, "status", "iters", "gap"}
+    for s, want in zip(solves, grid):
+        # a key the grid gives as None (verify's term and pair) is absent
+        assert set(s) == {*(k for k, v in zip(keys, want) if v is not None), "status", "iters", "gap"}
         assert s["status"] in ("gap-tol", "stalled", "max-iters")
-        assert s["gap"] == row[header.index("gap")]
-        if "iters" in header:
-            assert s["iters"] == row[header.index("iters")]
-    # Bell's uncapped solves and its E = 0.5 solve stop on an unchanged sigma
-    assert solves[stalled]["status"] == "stalled"
+    # verify's CSV rows are checks, not solves, and carry no gap or iters
+    if "gap" in header:
+        for s, row in zip(solves, record["csv"]["rows"]):
+            assert s["gap"] == row[header.index("gap")]
+            if "iters" in header:
+                assert s["iters"] == row[header.index("iters")]
+    # Bell's uncapped solves and its E = 0.5 solve stop on an unchanged
+    # sigma; verify's mixture solve reaches its gap tolerance
+    assert solves[stop[0]]["status"] == stop[1]
 
 
 def test_verify_zero_samples_vacuous_pass(tmp_path):
@@ -365,8 +396,58 @@ def test_channel_argument_count_names_channel(spec, name):
         run(config)
 
 
+# a small config per command; the solver commands stop after 3 iterations
+SMALL_CONFIGS = {
+    "entropy": {"state": "fixture:bell"},
+    "gibbs": {"hamiltonian": "hamlinear:w=1", "E_grid": [1.0]},
+    "zeta": {"family": "hamlinear:w=1"},
+    "approx": {"state": "fixture:ghz3", "subset": [0], "r_grid": [1]},
+    "er": {"state": "fixture:bell"},
+    "er-reg": {"state": "fixture:bell", "k_max": 1},
+    "er-energy": {"state": "fixture:bell", "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [1.0]},
+    "fda": {"state": "fixture:bell", "rank_grid": [1]},
+    "verify": {"samples": {}},
+    "theorem2": {"state": "fixture:bell", "ks": [2]},
+}
+
+
 def test_record_names_environment(tmp_path):
-    run({"command": "gibbs", "hamiltonian": "hamlinear:w=1", "E_grid": [1.0]}, out_dir=tmp_path)
-    env = json.loads((tmp_path / "record.json").read_text())["environment"]
-    assert {"python", "numpy", "cpu_count", "threads"} <= set(env)
-    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = None
+    assert set(SMALL_CONFIGS) == set(COMMANDS)
+    for command, config in SMALL_CONFIGS.items():
+        out = tmp_path / command
+        run(dict(config, command=command, seed=0, opts={"max_iters": 3}), out_dir=out)
+        env = json.loads((out / "record.json").read_text())["environment"]
+        assert {"python", "numpy", "blas", "cpu_count", "threads"} <= set(env), command
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["blas"] == blas, command
+
+
+def _rank_two_qutrit_pair() -> DensityOp:
+    """(|00> + 2|11>)/sqrt 5 under a fixed non-diagonal local unitary: both
+    marginals have rank 2 of 3, and the state is not diagonal."""
+    psi = np.zeros(9, dtype=complex)
+    psi[0], psi[4] = 1.0, 2.0
+    k = np.arange(9.0).reshape(3, 3)
+    u = np.linalg.qr(k + 1j * k.T + np.eye(3))[0]
+    psi = np.kron(u, u.conj()) @ (psi / np.linalg.norm(psi))
+    return DensityOp(DimSig((3, 3)), np.outer(psi, psi.conj()))
+
+
+def test_entropy_takes_one_joint_eigensolve(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_state(_rank_two_qutrit_pair(), str(path))
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or eigvalsh(m))
+    record = run({"command": "entropy", "state": str(path)}, out_dir=tmp_path)
+    # the 9 validates the loaded state; then one spectrum per marginal and
+    # one joint eigensolve on the 2 x 2 product of the marginal supports
+    assert sizes == [9, 3, 3, 4]
+    got = dict(record["csv"]["rows"])
+    assert got["QMI"] == -got["S"] + got["S_marginal_0"] + got["S_marginal_1"]
+    assert abs(got["S"]) < 1e-12
+    assert abs(got["QMI"] - 2 * got["S_marginal_0"]) < 1e-12

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsep.entropy import (
     _eta_sum,
     binary_entropy,
     conditional_entropy,
+    entropy_terms,
     g_entropy,
     mutual_information,
     relative_entropy,
@@ -213,3 +216,63 @@ def test_qmi_marginal_upper_bound_all_choices():
         for drop in range(3):
             bound = 2 * sum(e for k, e in enumerate(ents) if k != drop)
             assert total <= bound + 1e-8
+
+
+def _haar_columns(rng, d: int, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _eta_of(w) -> float:
+    return _eta_sum(np.asarray(w, dtype=float))
+
+
+class TestSupportRule:
+    """The joint entropy is taken on the product of the marginal supports."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 2, 3), (5, 4, 3)]),
+        t=st.sampled_from([0.0, 1e-17, 1e-16]),
+        groups=st.sampled_from([None, [[0], [1, 2]], [[0, 2], [1]]]),
+    )
+    def test_rotated_rank_deficient_states_meet_dense_qmi(self, seed, dims, t, groups):
+        # rho = (1 - t) W rho0 W^dagger + t 1/D, W a product of Haar isometries
+        # onto k_s of the d_s dimensions: the dropped marginal eigenvalues are
+        # t / d_s, below the rule's tolerance, so the dropped mass is real
+        rng = np.random.default_rng(seed)
+        ks = [int(rng.integers(1, d + 1)) for d in dims]
+        rho0 = random_density(ks, math.prod(ks), seed=seed)
+        w = _haar_columns(rng, dims[0], ks[0])
+        for d, k in zip(dims[1:], ks[1:]):
+            w = np.kron(w, _haar_columns(rng, d, k))
+        big = math.prod(dims)
+        mat = (1 - t) * (w @ rho0.mat @ w.conj().T) + t * np.eye(big) / big
+        rho = dop(dims, (mat + mat.conj().T) / 2)
+        parts = [[s] for s in range(3)] if groups is None else groups
+        got = mutual_information(rho, groups)
+        dense = sum(_eta_of(np.linalg.eigvalsh(partial_trace(rho, g).mat)) for g in parts)
+        dense -= _eta_of(np.linalg.eigvalsh(rho.mat))
+        assert abs(got - dense) <= 1e-12
+        # the exact value from rho0's spectra: each mixes with t / (dimension),
+        # which the dimensions outside the kept ones take alone
+        def exact_entropy(keep):
+            w0 = np.linalg.eigvalsh(partial_trace(rho0, keep).mat)
+            d, k = math.prod(dims[s] for s in keep), math.prod(ks[s] for s in keep)
+            return _eta_of((1 - t) * w0 + t / d) + (d - k) * _eta_of([t / d])
+
+        exact = sum(exact_entropy(g) for g in parts) - exact_entropy([0, 1, 2])
+        delta = 0.0
+        for s in range(3):
+            ws = np.linalg.eigvalsh(partial_trace(rho, [s]).mat)
+            delta += float(np.abs(ws[ws <= dims[s] * np.finfo(float).eps * ws.max()]).sum())
+        bound = delta * (1 + math.log(big / delta)) if delta > 0 else 0.0
+        # the computed terms each carry rounding of order D eps
+        assert abs(got - exact) <= bound + 10 * big * np.finfo(float).eps
+
+    def test_full_rank_marginals_keep_the_dense_bits(self):
+        rho = random_density((2, 3, 2), 12, seed=24)
+        joint, singles = entropy_terms(rho)
+        assert joint == von_neumann_entropy(rho)
+        assert singles == [von_neumann_entropy(partial_trace(rho, [s])) for s in range(3)]
