@@ -25,10 +25,9 @@ from .qmat import (
     HERM_TOL,
     DensityOp,
     SpectralDecomp,
-    _conj_t,
+    _expand,
     _herm_violation,
     _reduce,
-    _rows,
     column_projector,
     eigh,
     hermitian_part,
@@ -128,14 +127,13 @@ def _isometry(p, s: int, d: int) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def _expand(sig, core: np.ndarray, vs: list, kept) -> tuple[DensityOp | None, float]:
-    """The state W (core / c) W^dagger with c = Tr core, symmetrized once;
-    the state is None when c is at most ANNIHILATION_TOL."""
+def _state_from_core(sig, core: np.ndarray, vs: list) -> tuple[DensityOp | None, float]:
+    """The state W (core / c) W^dagger with c = Tr core, symmetrized once
+    (qmat._expand); the state is None when c is at most ANNIHILATION_TOL."""
     c = float(np.real(np.trace(core)))
     if c <= ANNIHILATION_TOL:
         return None, c
-    mat = _rows(_conj_t(_rows(core / c, vs, kept)), vs, kept)
-    return DensityOp(sig, hermitian_part(mat)), c
+    return DensityOp(sig, _expand(core / c, vs, sig.dims)), c
 
 
 def _local_dim(rho: DensityOp, s) -> int:
@@ -155,10 +153,9 @@ def _compress(rho: DensityOp, isometries: dict) -> tuple[DensityOp | None, float
         if v.shape[0] != _local_dim(rho, s):
             raise ValueError(f"isometry on subsystem {s} has {v.shape[0]} rows, not the state's dimension {dims[s]}")
         vs[s] = v
-    kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
-    if 0 in kept:
+    if any(v.shape[1] == 0 for v in isometries.values()):
         return None, 0.0
-    return _expand(rho.sig, _reduce(rho.mat, vs, dims), vs, kept)
+    return _state_from_core(rho.sig, _reduce(rho.mat, vs, dims), vs)
 
 
 def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[DensityOp | None, float]:
@@ -171,7 +168,11 @@ def compress(rho: DensityOp, projectors: dict[int, np.ndarray]) -> tuple[Density
     is reduced to the kept core W^dagger rho W, W the product of the V,
     with left multiplications only: rows, a conjugate transpose, rows.
     c is the trace of the core, which is divided by c and expanded back
-    the same way, then symmetrized once. The state is None when c is at
+    the same way, then symmetrized once. When every V selects identity
+    columns (entries exactly 0 or 1, as the eigenvectors of a diagonal
+    marginal are), the core is instead a gather of rho's kept rows and
+    columns, and the expansion scatters the symmetrized core into a zero
+    matrix: no matmul, the same bits. The state is None when c is at
     most ANNIHILATION_TOL, and (None, 0.0) is returned at once when a
     projector is zero.
 
@@ -531,7 +532,7 @@ def truncation_experiment(
         kept = [d if v is None else r for d, v in zip(dims, vs)]
         if core is None:
             core = _reduce(rho.mat, vs, dims)
-        out, _ = _expand(rho.sig, core, vs, kept)
+        out, _ = _state_from_core(rho.sig, core, vs)
         _require_state(out)
         # hand the next rank's core, a leading block of this one, off before f runs
         if r_next is None:

@@ -61,9 +61,18 @@ def _require(config: dict, field: str, kind=None):
     return value
 
 
-def _is_count(value) -> bool:
-    """An integer >= 1; a bool, a float or a string is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """An integer >= least; a bool, a float or a string is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _int_list(config: dict, field: str, default=None, least: int = 1) -> list[int]:
+    """A list field of integers >= least (`_is_count`), required unless it
+    has a default; anything else raises ConfigError naming the field."""
+    value = _require(config, field) if default is None else config.get(field, default)
+    if not isinstance(value, list) or not all(_is_count(v, least) for v in value):
+        raise ConfigError(f"config field {field!r} must be a list of integers >= {least}, got {value!r}")
+    return value
 
 
 def _int_field(section: dict, field: str, default=None, within: str | None = None):
@@ -169,8 +178,8 @@ def _cmd_zeta(config: dict):
 
 def _cmd_approx(config: dict):
     rho = resolve_state(_require(config, "state"))
-    subset = [int(s) for s in _require(config, "subset", list)]
-    r_grid = [int(r) for r in _require(config, "r_grid", list)]
+    subset = _int_list(config, "subset", least=0)
+    r_grid = _int_list(config, "r_grid")
     channels = config.get("channels")
     f = qmi_function(channel_specs=channels)
     witnesses = None
@@ -276,14 +285,12 @@ def _cmd_er_energy(config: dict):
 
 def _cmd_fda(config: dict):
     rho = resolve_state(_require(config, "state"))
-    rank_grid = [int(r) for r in _require(config, "rank_grid", list)]
-    if any(r < 1 for r in rank_grid):
-        raise ConfigError(f"config field 'rank_grid' needs ranks >= 1, got {rank_grid}")
+    rank_grid = _int_list(config, "rank_grid")
     # one eigenbasis per marginal; rank r projects onto its first r columns
     # (all of them past the marginal's dimension), as top_projector does
     bases = [eigh(partial_trace(rho, [s]).mat).eigenvectors for s in range(rho.sig.nsys)]
     steps = [{s: column_projector(v[:, :r]) for s, v in enumerate(bases)} for r in rank_grid]
-    m_grid = [int(m) for m in config.get("m_grid", [rho.sig.nsys])]
+    m_grid = _int_list(config, "m_grid", [rho.sig.nsys])
     rows_d = truncation_limit_experiment(rho, steps, m_grid, _solver_opts(config))
     rows = []
     for r in rows_d:
@@ -335,9 +342,7 @@ def _cmd_verify(config: dict):
 
 def _cmd_theorem2(config: dict):
     rho0 = resolve_state(_require(config, "state"))
-    ks = config.get("ks", [1, 2, 4, 8])
-    if not isinstance(ks, list) or not all(_is_count(k) for k in ks):
-        raise ConfigError(f"config field 'ks' must be a list of integers >= 1, got {ks!r}")
+    ks = _int_list(config, "ks", [1, 2, 4, 8])
     dim = rho0.sig.total
     mixed = np.eye(dim, dtype=complex) / dim
     states = [

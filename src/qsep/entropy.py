@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .qmat import DensityOp, _reduce, eigh, partial_trace
+from .qmat import DensityOp, _is_diagonal, _reduce, eigh, partial_trace
 
 SUPPORT_TOL = 1e-9
 LOG_FLOOR = 1e-14
@@ -28,15 +28,6 @@ def _eta_sum(w: np.ndarray) -> float:
     """Shannon sum -sum w ln w over the positive entries of a spectrum."""
     w = w[w > 0]
     return float(-(w * np.log(w)).sum()) if w.size else 0.0
-
-
-def _is_diagonal(m: np.ndarray) -> bool:
-    """True when every off-diagonal entry of the square matrix m is zero."""
-    d = m.shape[0]
-    # row k of the (d-1) x (d+1) view runs from just after diagonal entry k
-    # to diagonal entry k+1; without its last column it holds exactly the
-    # off-diagonal entries, read in place
-    return not np.any(m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1])
 
 
 def _spectrum(m: np.ndarray) -> np.ndarray:

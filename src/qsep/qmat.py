@@ -11,6 +11,7 @@ Subsystems are indexed from 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,15 @@ def _herm_violation(m: np.ndarray) -> float:
     return herm_residual(m)
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square matrix m is zero."""
+    d = m.shape[0]
+    # row k of the (d-1) x (d+1) view runs from just after diagonal entry k
+    # to diagonal entry k+1; without its last column it holds exactly the
+    # off-diagonal entries, read in place
+    return not np.any(m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1])
+
+
 @dataclass(frozen=True)
 class DensityOp:
     """Hermitian PSD unit-trace matrix with a multipartite signature."""
@@ -107,7 +117,10 @@ class DensityOp:
 
         A validated state stores the Hermitian part of `mat`, so its matrix
         is exactly Hermitian (and equal to `mat` in value when `mat` already
-        is); with validate=False the matrix is stored as given.
+        is); with validate=False the matrix is stored as given. An exactly
+        diagonal matrix takes its minimum eigenvalue from its real diagonal,
+        with no eigensolver: eigvalsh returns that diagonal bit for bit
+        (see entropy._spectrum).
         """
         if not isinstance(sig, DimSig):
             sig = DimSig(tuple(sig))
@@ -120,7 +133,7 @@ class DensityOp:
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"state rejected: trace {tr:.12g} deviates from 1 beyond {TRACE_TOL}")
             m = hermitian_part(m)
-            wmin = float(np.linalg.eigvalsh(m).min())
+            wmin = float((m.diagonal().real if _is_diagonal(m) else np.linalg.eigvalsh(m)).min())
             if wmin < EIG_FLOOR:
                 raise ValueError(f"state rejected: minimal eigenvalue {wmin:.3e} below {EIG_FLOOR}")
         return DensityOp(sig, m)
@@ -215,11 +228,59 @@ def _conj_t(x: np.ndarray) -> np.ndarray:
     return np.conjugate(x.T, out=np.empty(x.shape[::-1], dtype=x.dtype))
 
 
+def _coordinate_index(vs: list, dims) -> np.ndarray | None:
+    """Flat indices of the kept product basis states of W, the product of
+    the isometries `vs` (None is the identity), when every factor selects
+    identity columns: entries exactly 0 or 1, one 1 per column and at most
+    one per row. None when some factor does not."""
+    idx = np.zeros(1, dtype=np.intp)
+    for v, d in zip(vs, dims):
+        if v is None:
+            rows = np.arange(d)
+        else:
+            ones = v == 1
+            if not (np.all(ones | (v == 0)) and np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) <= 1)):
+                return None
+            rows = ones.argmax(axis=0)
+        idx = (idx[:, None] * d + rows).ravel()
+    return idx
+
+
 def _reduce(mat: np.ndarray, vs: list, dims) -> np.ndarray:
     """Kept core W^dagger mat W of a Hermitian mat, W the product of the
-    isometries `vs` (None is the identity): rows, a conjugate transpose, rows."""
+    isometries `vs` (None is the identity).
+
+    When every factor selects identity columns (`_coordinate_index`) the
+    core is the gather of mat's kept rows and columns; otherwise it is
+    rows, a conjugate transpose, rows (which forms W^dagger mat^dagger W).
+    Every entry of such a W is 0 or 1, so for a Hermitian mat the two paths
+    agree bit for bit.
+    """
+    idx = _coordinate_index(vs, dims)
+    if idx is not None:
+        return mat[np.ix_(idx, idx)]
     vh = [None if v is None else v.conj().T for v in vs]
     return _rows(_conj_t(_rows(mat, vh, dims)), vh, dims)
+
+
+def _expand(core: np.ndarray, vs: list, dims) -> np.ndarray:
+    """The Hermitian part of W core W^dagger, `_reduce` run backwards: the
+    core's rows and columns are indexed by the kept product basis of `vs`.
+
+    When every factor selects identity columns, the symmetrized core is
+    scattered into a zero D x D matrix; otherwise it is rows, a conjugate
+    transpose, rows and one D x D symmetrization. Both give the same bits,
+    whether or not core is Hermitian: W's entries are 0 or 1, and
+    symmetrizing then scattering equals scattering then symmetrizing.
+    """
+    idx = _coordinate_index(vs, dims)
+    if idx is None:
+        kept = [d if v is None else v.shape[1] for d, v in zip(dims, vs)]
+        return hermitian_part(_rows(_conj_t(_rows(core, vs, kept)), vs, kept))
+    d = math.prod(dims)
+    out = np.zeros((d, d), dtype=np.result_type(core, 0.5))
+    out[np.ix_(idx, idx)] = hermitian_part(core)
+    return out
 
 
 def trace_norm(m) -> float:

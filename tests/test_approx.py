@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qsep.qmat as qmat_mod
 from qsep.approx import (
     BoundTemplate,
     TruncationPlan,
@@ -25,9 +28,18 @@ from qsep.approx import (
     truncation_map,
     witness_operator,
 )
-from qsep.entropy import _eta_sum, mutual_information
+from qsep.entropy import _eta_sum, entropy_terms, mutual_information
 from qsep.fixtures import bell_state, correlated_geometric_state, geometric_gibbs_product, get_fixture, ghz_state
-from qsep.qmat import DensityOp, DimSig, eigh, partial_trace, product_operator, random_density, top_projector
+from qsep.qmat import (
+    DensityOp,
+    DimSig,
+    _coordinate_index,
+    eigh,
+    partial_trace,
+    product_operator,
+    random_density,
+    top_projector,
+)
 from qsep.relent import truncation_limit_experiment
 from qsep.spectra import FAWitness, SpectrumFamily, build_fa_witness
 
@@ -676,3 +688,98 @@ class TestOnePassExperiment:
             assert abs(row["eps_r"] ** 2 / (3.0 * qbar) - 1.0) < 1e-12, r
             assert abs(row["gentle_bound"] / (2.0 * math.sqrt(qbar)) - 1.0) < 1e-12, r
             assert abs(row["c_r"] - (1.0 - q**r) / (1.0 - q**d)) < 1e-15, r
+
+
+def _diagonal_marginal_state(dims, kind, seed):
+    """A state whose marginals are exactly diagonal: classical (a diagonal
+    joint) or GHZ-type (coherences only between the states |i...i>, plus a
+    classical part). Small integer weights make degenerate marginals."""
+    rng = np.random.default_rng(seed)
+    total = math.prod(dims)
+    weights = rng.integers(0, 4, total).astype(float)
+    weights[rng.integers(total)] += 1.0
+    m = np.diag(weights).astype(complex)
+    if kind == "ghz":
+        k = min(dims)
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        ghz = [sum(i * math.prod(dims[s + 1 :]) for s in range(len(dims))) for i in range(k)]
+        m[np.ix_(ghz, ghz)] += g @ g.conj().T
+    return DensityOp.create(dims, m / np.trace(m).real)
+
+
+def _both_paths(fn):
+    """fn() with the coordinate rule, then with every W on the matmul path;
+    a ValueError counts as its message."""
+
+    def call():
+        try:
+            return fn()
+        except ValueError as exc:
+            return str(exc)
+
+    fast = call()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qmat_mod, "_coordinate_index", lambda vs, dims: None)
+        slow = call()
+    return fast, slow
+
+
+def _compressed_bits(rho, projs):
+    out, c = compress(rho, projs)
+    return None if out is None else out.mat.tobytes(), c
+
+
+class TestCoordinateRule:
+    """Isometries that select identity columns reduce and expand by index;
+    the result must be the matmul path's, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 3), (3, 3), (4, 2), (2, 2, 2), (3, 2, 4), (2, 3, 2, 2)]),
+        kind=st.sampled_from(["classical", "ghz"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_index_path_matches_matmul_path(self, dims, kind, seed, data):
+        rho = _diagonal_marginal_state(dims, kind, seed)
+        n = len(dims)
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        f = qmi_function(channel_specs=[("depolarizing", 0.05)] + ["identity"] * (n - 1))
+        fast, slow = _both_paths(lambda: entropy_terms(rho))
+        assert fast == slow
+        ranks = list(range(1, min(dims[s] for s in subset) + 1))
+        for r in ranks:
+            plan = make_plan(rho, subset, r)
+            vs = [plan.isometries.get(s) for s in range(n)]
+            assert _coordinate_index(vs, dims) is not None
+            projs = {s: v @ v.conj().T for s, v in plan.isometries.items()}
+            for fn in (
+                lambda: _compressed_bits(rho, projs),
+                lambda: apply_plan(rho, plan).mat.tobytes(),
+                lambda: truncation_map(rho, subset, r)[0].mat.tobytes(),
+                lambda: entropy_terms(truncation_map(rho, subset, r)[0]),
+            ):
+                fast, slow = _both_paths(fn)
+                assert fast == slow
+        fast, slow = _both_paths(lambda: truncation_experiment(rho, f, subset, ranks[::-1]).rows)
+        assert fast == slow
+
+    def test_expansion_of_a_non_hermitian_core_keeps_the_bits(self):
+        rng = np.random.default_rng(25)
+        core = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        vs = [np.eye(3)[:, [2, 0]], None]
+        fast, slow = _both_paths(lambda: qmat_mod._expand(core, vs, (3, 3)).tobytes())
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.eye(3)[:, [0, 2]] * np.array([1.0, -1.0]),
+            np.eye(3)[:, [0, 2]] * np.array([1.0, 1j]),
+            np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0][:, :2],
+        ],
+        ids=["minus-one", "complex-phase", "haar"],
+    )
+    def test_rule_does_not_fire_off_identity_columns(self, v):
+        assert _coordinate_index([np.eye(3)[:, [1, 0]], None], (3, 2)) is not None
+        assert _coordinate_index([np.eye(3)[:, [1, 0]], v], (3, 3)) is None

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qsep.qmat as qmat_mod
 from qsep.cli import COMMANDS, ConfigError, main, run
 from qsep.entropy import g_entropy, von_neumann_entropy
 from qsep.fixtures import FIXTURES, geometric_correlation, get_fixture
@@ -451,3 +452,50 @@ def test_entropy_takes_one_joint_eigensolve(tmp_path, monkeypatch):
     assert got["QMI"] == -got["S"] + got["S_marginal_0"] + got["S_marginal_1"]
     assert abs(got["S"]) < 1e-12
     assert abs(got["QMI"] - 2 * got["S_marginal_0"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"command": "approx", "subset": [0, 1], "r_grid": [1.5, True]}, "'r_grid'"),
+        ({"command": "approx", "subset": ["0", 1.9], "r_grid": [1]}, "'subset'"),
+        ({"command": "approx", "subset": [False, 1], "r_grid": [1]}, "'subset'"),
+        ({"command": "approx", "subset": 0, "r_grid": [1]}, "'subset'"),
+        ({"command": "fda", "seed": 0, "rank_grid": [1.7]}, "'rank_grid'"),
+        ({"command": "fda", "seed": 0, "rank_grid": [1], "m_grid": ["2"]}, "'m_grid'"),
+        ({"command": "fda", "seed": 0, "rank_grid": [1], "m_grid": [0]}, "'m_grid'"),
+    ],
+    ids=["r-grid-float-bool", "subset-str-float", "subset-bool", "subset-not-list", "rank-float", "m-str", "m-zero"],
+)
+def test_grid_and_subset_entries_must_be_integers(config, field):
+    # int() used to truncate these: r_grid [1.5, true] ran rank 1 twice
+    with pytest.raises(ConfigError, match=field):
+        run(dict(config, state="fixture:bell"))
+
+
+README_APPROX = {
+    "command": "approx",
+    "state": "fixture:correlated-geometric",
+    "subset": [0, 1, 2],
+    "r_grid": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "channels": [["depolarizing", 0.05], ["dephasing", 0.1], "identity"],
+    "witness_families": ["geometric:0.02", "geometric:0.02"],
+    "bound": {"C": 2.0, "D": 3.0},
+}
+
+
+def test_readme_approx_compresses_by_index(tmp_path, monkeypatch):
+    # correlated-geometric is diagonal, so every marginal eigenvector is a
+    # basis vector: the reduction and each rank's expansion gather and
+    # scatter, and no matmul pass runs; forced onto the matmul path, the one
+    # reduction and nine expansions take two passes each, with the same CSV
+    calls = []
+    rows = qmat_mod._rows
+    monkeypatch.setattr(qmat_mod, "_rows", lambda *a: calls.append(a) or rows(*a))
+    fast = run(README_APPROX, out_dir=tmp_path / "index")["csv"]
+    assert calls == []
+    monkeypatch.setattr(qmat_mod, "_coordinate_index", lambda vs, dims: None)
+    slow = run(README_APPROX, out_dir=tmp_path / "matmul")["csv"]
+    assert len(calls) == 20
+    assert fast == slow
+    assert (tmp_path / "index" / "approx.csv").read_bytes() == (tmp_path / "matmul" / "approx.csv").read_bytes()

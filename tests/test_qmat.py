@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsep.qmat import (
+    EIG_FLOOR,
     HERM_TOL,
     DensityOp,
     DimSig,
@@ -285,3 +286,38 @@ class TestValidationAndJson:
         doc = {"dims": [2, 2], "re": [[1.0]], "im": [[0.0]]}
         with pytest.raises(ValueError, match="does not match dims"):
             matrix_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [0.25, 0.25, 0.5, 0.0],
+            [0.5, 0.5 + 1e-9, -1e-9, 0.0],
+            [0.5, 0.5 + 1e-11, -1e-11, 0.0],
+            [0.5, 0.5 + 1e-10, -1e-10, 0.0],
+            [0.5 + 1e-12j, 0.5 - 1e-12j, 0.0, 0.0],
+            [1.2, -0.2, 0.0, 0.0],
+        ],
+        ids=["psd", "minus-1e-9", "minus-1e-11", "at-floor", "imaginary-diagonal", "negative"],
+    )
+    def test_diagonal_state_validated_without_eigensolver(self, monkeypatch, diag):
+        # the decision must be eigvalsh's, with eigvalsh never called
+        m = np.diag(np.asarray(diag, dtype=complex))
+        want = np.linalg.eigvalsh(hermitian_part(m)).min() >= EIG_FLOOR
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        doc = matrix_to_json(DensityOp(DimSig((2, 2)), m.copy()))
+        for build in (lambda: DensityOp.create((2, 2), m), lambda: matrix_from_json(doc)):
+            if want:
+                assert build().mat.tobytes() == hermitian_part(m).tobytes()
+            else:
+                with pytest.raises(ValueError, match="minimal eigenvalue"):
+                    build()
+        assert calls == []
+        # a coherence, however small, sends the matrix through eigvalsh
+        m[0, 1] = m[1, 0] = 1e-300
+        try:
+            DensityOp.create((2, 2), m)
+        except ValueError:
+            pass
+        assert len(calls) == 1
