@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import platform
 import sys
@@ -73,6 +74,17 @@ def _int_list(config: dict, field: str, default=None, least: int = 1) -> list[in
     if not isinstance(value, list) or not all(_is_count(v, least) for v in value):
         raise ConfigError(f"config field {field!r} must be a list of integers >= {least}, got {value!r}")
     return value
+
+
+def _real_list(config: dict, field: str) -> list[float]:
+    """A required list field of real numbers; a bool, a string or a NaN
+    raises ConfigError naming the field."""
+    value = _require(config, field)
+    if not isinstance(value, list) or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and not math.isnan(v) for v in value
+    ):
+        raise ConfigError(f"config field {field!r} must be a list of real numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def _int_field(section: dict, field: str, default=None, within: str | None = None):
@@ -273,7 +285,7 @@ def _cmd_er_energy(config: dict):
             hams.append(parsed)
         else:
             hams.append(HamiltonianSpec.explicit([float(x) for x in h]))
-    e_grid = [float(e) for e in _require(config, "E_grid", list)]
+    e_grid = _real_list(config, "E_grid")
     rows_d = energy_sweep(rho, part, hams, e_grid, _solver_opts(config))
     rows = [[r["E"], r["value"], r["gap"], r["iters"]] for r in rows_d]
     violations = []

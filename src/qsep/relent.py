@@ -4,16 +4,17 @@ descent over finite mixtures of product pure states.
 The objective sigma -> D(rho || sigma) is convex on the separable set, and
 every candidate direction is a product pure state (an atom), found by an
 alternating minimal-eigenvector heuristic. Each outer step adds one atom
-via exact line search, then a corrective pass re-balances the weights of
-the atoms collected so far by SQUAREM-accelerated EM steps, evaluated in
-sigma's eigenbasis, which in practice restores fast convergence on
+via exact line search, which finds the step length as the root of the
+objective's slope on the atom's segment (under an energy cap, the segment
+clipped to keep the cap), then a corrective pass re-balances the weights
+of the atoms collected so far by SQUAREM-accelerated EM steps, evaluated
+in sigma's eigenbasis, which in practice restores fast convergence on
 separable inputs. Without an active energy cap the step also refines the
 atoms themselves (Riemannian gradient steps on their factors, weights
-held), searches with a light oracle seeded at sigma's own best atom and
-finds the step length as the root of the objective's slope. The reported
-gap is a true suboptimality certificate only when the atom oracle is
-exact; it is labeled heuristic everywhere. The seeding makes every
-uncapped gap >= 0, but value - gap is still a heuristic lower bound.
+held) and searches with a light oracle seeded at sigma's own best atom.
+The reported gap is a true suboptimality certificate only when the atom
+oracle is exact; it is labeled heuristic everywhere. The seeding makes
+every uncapped gap >= 0, but value - gap is still a heuristic lower bound.
 Near a singular sigma the gradient, and with it the gap, is dominated by
 rho's weight on sigma's smallest eigenvalues, so an uncapped solve that
 does not stop at gap-tol takes its final certificate at a slightly mixed
@@ -49,13 +50,13 @@ from .qmat import (
 )
 
 # fixed solver constants: alternating sweeps per certificate-grade and per
-# search-grade oracle call, golden-section steps (or secant evaluations) per
-# line search, corrective-pass evaluations per iteration, refinement steps
-# per iteration and step halvings per refinement step, the weight below
-# which an atom is dropped, the stall test for slow descent (no objective
-# descent beyond STALL_TOL over STALL_WINDOW iterations; a solve also stalls
-# at its first iteration that leaves sigma unchanged) and the number of atom
-# pairs kept by the two-copy warm start
+# search-grade oracle call, secant evaluations per line search,
+# corrective-pass evaluations per iteration, refinement steps per iteration
+# and step halvings per refinement step, the weight below which an atom is
+# dropped, the stall test for slow descent (no objective descent beyond
+# STALL_TOL over STALL_WINDOW iterations; a solve also stalls at its first
+# iteration that leaves sigma unchanged) and the number of atom pairs kept
+# by the two-copy warm start
 LMO_SWEEPS = 50
 LMO_SEARCH_SWEEPS = 10
 LINE_ITERS = 48
@@ -284,6 +285,11 @@ class EnergyConstraint:
     hams: tuple
     E: float
 
+    def __post_init__(self):
+        # E = inf is a vacuous cap; a NaN cap bounds nothing and is refused
+        if math.isnan(float(self.E)):
+            raise ValueError("energy cap E is NaN")
+
     def diagonal(self, sig: DimSig) -> np.ndarray:
         if len(self.hams) != sig.nsys:
             raise ValueError(f"need one local Hamiltonian per subsystem ({sig.nsys})")
@@ -324,14 +330,6 @@ class ERSolution:
         return np.asarray([w for w, _ in self.atoms])
 
 
-def _objective(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
-    """D(rho || sigma), with sigma's eigenvalues clipped at LOG_FLOOR."""
-    ws, vs = np.linalg.eigh(hermitian_part(sigma_mat))
-    ws = np.maximum(ws, LOG_FLOOR)
-    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=0))
-    return tr_rho_ln_rho - (weights * np.log(ws)).sum()
-
-
 def _spectral_terms(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
     """D(rho || sigma), sigma's eigenvectors V and K = rt o phi from one
     eigendecomposition, so that -G = V K V^dagger is the gradient's negative.
@@ -362,41 +360,26 @@ def _obj_and_grad(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: flo
     return obj, _gradient(vs, k)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(h, lo: float, hi: float) -> float:
-    """Golden-section minimizer of a convex scalar function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = h(c), h(d)
-    for _ in range(LINE_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = h(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = h(d)
-    return 0.5 * (a + b)
-
-
-def _secant(rho_mat, sigma, vec, slope0: float, tr_rho_ln_rho: float):
-    """Root of the slope of h(t) = D(rho || sigma_t), sigma_t = (1 - t) sigma
-    + t |v><v|, on [0, 1] by a safeguarded secant search: (t, h(t)) at the
-    evaluated point of least h.
+def _secant(rho_mat, sigma, vec, slope0: float, t_max: float, tr_rho_ln_rho: float):
+    """Minimizer of the convex h(t) = D(rho || sigma_t), sigma_t = (1 - t)
+    sigma + t |v><v|, on [0, t_max]: the root of its slope clipped to t_max,
+    found by a safeguarded secant search. Returns (t, h(t)) at the evaluated
+    point of least h; a candidate with slope0 >= 0 cannot descend and
+    returns (0, inf) with no evaluation.
 
     With (V_t, K_t) from `_spectral_terms` and u = V_t^dagger v, h'(t) =
     (1 - u^dagger K_t u) / (1 - t) wherever Tr G_t sigma_t = -1 (no
     eigenvalue of sigma_t clipped at LOG_FLOOR). So h' = 0 where y(t) =
     1 / (u^dagger K_t u) = 1, and y is linear in t when v is an eigenvector
     of sigma. The search is Illinois regula falsi on y - 1 over a bracket
-    that starts as [0, 1], where y(0) = 1 / (1 - slope0) and y(1) =
-    1 / <v|rho|v> are known; each other point takes one
-    eigendecomposition. It stops when |y - 1| <= 1e-9 |slope0| + 1e-14,
-    when the bracket collapses, or after LINE_ITERS evaluations."""
+    that starts as [0, t_max]. y(0) = 1 / (1 - slope0) and y(1) =
+    1 / <v|rho|v> are known; y(t_max < 1) and each other point take one
+    eigendecomposition. If h still descends at t_max (y(t_max) <= 1), the
+    search returns t_max itself with h(t_max). Else it stops when
+    |y - 1| <= 1e-9 |slope0| + 1e-14, when the bracket collapses, or after
+    LINE_ITERS evaluations."""
+    if slope0 >= 0.0:
+        return 0.0, math.inf
     direction = np.outer(vec, vec.conj())
     evaluated = []
 
@@ -407,11 +390,16 @@ def _secant(rho_mat, sigma, vec, slope0: float, tr_rho_ln_rho: float):
         q = float(np.real(u.conj() @ k @ u))
         return 1.0 / q if q > 0.0 else math.inf
 
-    r = float(np.real(vec.conj() @ rho_mat @ vec))
-    if r >= 1.0:  # h descends on the whole segment, to sigma_1 = rho
-        y(1.0)
-        return 1.0, evaluated[0][0]
-    (lo, f_lo), (hi, f_hi) = (0.0, 1.0 / (1.0 - slope0) - 1.0), (1.0, 1.0 / r - 1.0 if r > 0.0 else math.inf)
+    if t_max < 1.0:
+        f_hi = y(t_max) - 1.0
+    else:
+        r = float(np.real(vec.conj() @ rho_mat @ vec))
+        f_hi = 1.0 / r - 1.0 if r > 0.0 else math.inf
+    if f_hi <= 0.0:  # h descends on the whole segment (at t_max = 1, to sigma_1 = rho)
+        if not evaluated:
+            y(t_max)
+        return t_max, evaluated[0][0]
+    lo, f_lo, hi = 0.0, 1.0 / (1.0 - slope0) - 1.0, t_max
     side = 0
     for _ in range(LINE_ITERS):
         t = hi - f_hi * (hi - lo) / (f_hi - f_lo) if math.isfinite(f_hi) else 0.5 * (lo + hi)
@@ -433,12 +421,10 @@ def _secant(rho_mat, sigma, vec, slope0: float, tr_rho_ln_rho: float):
     return t, obj
 
 
-def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes=None):
+def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes):
     """Exact line search of D(rho || (1 - t) sigma + t |v><v|) on [0, t_max]
-    for each candidate row v of vecs: (t*, value at t*) arrays, each from
-    `_golden` on the candidate's own segment or, given the candidates'
-    slopes at t = 0, from `_secant` (uncapped solves, whose segments all
-    end at t_max = 1).
+    for each candidate row v of vecs, given its slope at t = 0: (t*, value
+    at t*) arrays, each from `_secant` on the candidate's own segment.
 
     A row that repeats an earlier row and its t_max bit for bit copies that
     search: on a diagonal problem the oracle returns the same basis vector
@@ -449,17 +435,8 @@ def _line_search(rho_mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes=None):
         first = searched.setdefault((vec.tobytes(), float(t_max[k])), k)
         if first != k:
             t_stars[k], vals[k] = t_stars[first], vals[first]
-            continue
-        if slopes is not None:
-            t_stars[k], vals[k] = _secant(rho_mat, sigma, vec, float(slopes[k]), tr_rho_ln_rho)
-            continue
-        direction = np.outer(vec, vec.conj())
-
-        def h(t):
-            return _objective(rho_mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
-
-        t_stars[k] = _golden(h, 0.0, float(t_max[k]))
-        vals[k] = h(t_stars[k])
+        else:
+            t_stars[k], vals[k] = _secant(rho_mat, sigma, vec, float(slopes[k]), float(t_max[k]), tr_rho_ln_rho)
     return t_stars, vals
 
 
@@ -640,18 +617,19 @@ def relative_entropy_entanglement(
 
     With `constraint`, every iterate keeps Tr H sigma <= E: candidate
     atoms come from a multiplier sweep on G + mu H (mu in MU_GRID) and
-    `_golden` line searches are clipped to the feasible segment
-    (feasibility, not per-step optimality, is guaranteed). Without one the
-    solve has H = 0, E = inf and the single multiplier mu = 0, and three
-    things change: the oracle is search-grade (LMO_SEARCH_SWEEPS sweeps)
-    with lane 0 seeded at sigma's atom lowest in G (`_lowest_atom`), so
-    every gap is >= 0; the line search is `_secant` on the slope; and
-    after the corrective pass `_refine` moves the atoms' factors with the
-    weights held. A cap at or above the largest product energy max_i H_ii
-    binds no state and is solved uncapped. Only descending candidates,
-    those with <v|G|v> < Tr G sigma, are line-searched. The gap is
-    Lagrangian: Tr G sigma - max_mu (min <G + mu H> - mu E) over the
-    multipliers, which under no cap is the plain conditional-gradient gap.
+    each `_secant` line search is clipped to its candidate's feasible
+    segment [0, t_max] (feasibility, not per-step optimality, is
+    guaranteed). A NaN E raises ValueError; E = inf binds nothing. Without
+    one the solve has H = 0, E = inf, t_max = 1 and the single multiplier
+    mu = 0, and two things change: the oracle is search-grade
+    (LMO_SEARCH_SWEEPS sweeps) with lane 0 seeded at sigma's atom lowest
+    in G (`_lowest_atom`), so every gap is >= 0; and after the corrective
+    pass `_refine` moves the atoms' factors with the weights held. A cap
+    at or above the largest product energy max_i H_ii binds no state and
+    is solved uncapped. Only descending candidates, those with <v|G|v> <
+    Tr G sigma, are line-searched. The gap is Lagrangian: Tr G sigma -
+    max_mu (min <G + mu H> - mu E) over the multipliers, which under no
+    cap is the plain conditional-gradient gap.
 
     `status` is "gap-tol" once the gap is at most tol (an uncapped gap
     only when a seeded certificate-grade call, LMO_SWEEPS sweeps, at the
@@ -682,8 +660,7 @@ def relative_entropy_entanglement(
             raise ValueError(f"infeasible energy bound {e}: ground product energy is {h.min()}")
         # every sigma has Tr H sigma <= max_i H_ii, so a cap at or above the
         # largest product energy binds nothing and the solve runs uncapped
-        # (a NaN cap compares false and stays capped)
-        if not e >= h.max():
+        if e < h.max():
             h_diag, e_cap, mus = h, e, MU_GRID
     h_mat = np.diag(h_diag)
     capped = len(mus) > 1
@@ -777,9 +754,8 @@ def relative_entropy_entanglement(
         feasible = np.flatnonzero((t_max > 0.0) & (q < base_val))
         t_star = 0.0
         if len(feasible):
-            slopes = None if capped else q[feasible] - base_val
             t_stars, vals = _line_search(
-                rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho, slopes
+                rho_mat, sigma, cands.vectors[feasible], t_max[feasible], tr_rho_ln_rho, q[feasible] - base_val
             )
             k = int(np.argmin(vals))
             if vals[k] < obj - 1e-15:
@@ -865,15 +841,14 @@ def energy_sweep(
     largest product energy is solved uncapped; only descending candidates
     are line-searched. Each row carries its solve's `status`.
     """
-    e_grid = [float(e) for e in e_grid]
-    if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
+    caps = [EnergyConstraint(hams=tuple(hams), E=float(e)) for e in e_grid]
+    if any(b.E <= a.E for a, b in zip(caps, caps[1:])):
         raise ValueError("energy grid must be strictly increasing")
     rows = []
     warm: list | None = None
-    for e in e_grid:
-        cap = EnergyConstraint(hams=tuple(hams), E=e)
+    for cap in caps:
         sol = relative_entropy_entanglement(rho, partition, opts, initial_atoms=warm, constraint=cap)
-        rows.append({"E": e, "value": sol.value, "gap": sol.gap, "iters": sol.iterations, "status": sol.status})
+        rows.append({"E": cap.E, "value": sol.value, "gap": sol.gap, "iters": sol.iterations, "status": sol.status})
         warm = sol.atoms
     return rows
 

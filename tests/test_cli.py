@@ -380,6 +380,34 @@ def test_theorem2_ks_must_be_counts(ks):
         run({"command": "theorem2", "state": "fixture:bell", "seed": 0, "ks": ks})
 
 
+@pytest.mark.parametrize("e_grid", [[math.nan], [0.5, True], ["1.0"], [None], "1.0"])
+def test_er_energy_grid_must_be_real(e_grid):
+    # a NaN cap compares false against every energy, so it bounds nothing
+    config = {"command": "er-energy", "state": "fixture:bell", "seed": 0, "hams": [[0.0, 1.0], [0.0, 1.0]]}
+    with pytest.raises(ConfigError, match="'E_grid'"):
+        run(dict(config, E_grid=e_grid))
+
+
+def test_er_energy_config_file_refuses_nan(tmp_path, capsys):
+    # the json loader reads the NaN literal as a float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"state": "fixture:bell", "seed": 0, "hams": [[0.0, 1.0], [0.0, 1.0]], "E_grid": [0.5, NaN]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["er-energy", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "'E_grid'" in capsys.readouterr().err
+
+
+def test_er_energy_infinite_cap_is_uncapped():
+    # the largest product energy of two qubits under diag(0, 1) is 2, so
+    # both caps bind nothing and solve uncapped
+    config = {"command": "er-energy", "state": "fixture:bell", "seed": 0, "hams": [[0.0, 1.0], [0.0, 1.0]]}
+    opts = {"max_iters": 3}
+    rows = run(dict(config, E_grid=[math.inf], opts=opts))["csv"]["rows"]
+    want = run(dict(config, E_grid=[2.0], opts=opts))["csv"]["rows"]
+    assert rows[0][0] == math.inf and rows[0][1:] == want[0][1:]
+
+
 @pytest.mark.parametrize(
     "spec, name",
     [(["depolarizing"], "'depolarizing'"), (["dephasing", 0.1, 0.2], "'dephasing'"), (["identity", 0.5], "'identity'")],

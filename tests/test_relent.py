@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsep.entropy import conditional_entropy, relative_entropy, von_neumann_entropy
+from qsep.entropy import LOG_FLOOR, conditional_entropy, relative_entropy, von_neumann_entropy
 from qsep.fixtures import bell_state, geometric_correlation, get_fixture, gibbs_marginal_pair, maximally_correlated
-from qsep.qmat import DensityOp, DimSig, partial_trace, random_density, random_pure, top_projector
+from qsep.qmat import DensityOp, DimSig, hermitian_part, partial_trace, random_density, random_pure, top_projector
 from qsep.relent import (
+    LINE_ITERS,
     LMO_SEARCH_SWEEPS,
     LMO_SWEEPS,
     EnergyConstraint,
@@ -17,14 +18,12 @@ from qsep.relent import (
     SolverOpts,
     _caratheodory,
     _corrective_pass,
-    _golden,
     _interior_point,
     _lift_atoms_to_power,
     _line_search,
     _lowest_atom,
     _mixture,
     _obj_and_grad,
-    _objective,
     _product_vectors,
     _refine,
     atom_vector,
@@ -97,6 +96,41 @@ class TestPartitionAndAtoms:
 def unit(rng, d):
     f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return f / np.linalg.norm(f)
+
+
+def _objective(rho_mat: np.ndarray, sigma_mat: np.ndarray, tr_rho_ln_rho: float):
+    """Reference D(rho || sigma), with sigma's eigenvalues clipped at LOG_FLOOR."""
+    ws, vs = np.linalg.eigh(hermitian_part(sigma_mat))
+    ws = np.maximum(ws, LOG_FLOOR)
+    weights = np.real((vs.conj() * (rho_mat @ vs)).sum(axis=0))
+    return tr_rho_ln_rho - (weights * np.log(ws)).sum()
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(h, lo: float, hi: float) -> float:
+    """Reference golden-section minimizer of a convex scalar function on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = h(c), h(d)
+    for _ in range(LINE_ITERS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = h(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = h(d)
+    return 0.5 * (a + b)
+
+
+def segment_slopes(rho, sigma, vecs):
+    """h'(0) = <v|G|v> - Tr G sigma of each row v of vecs."""
+    _, g_mat = _obj_and_grad(rho.mat, sigma, -von_neumann_entropy(rho))
+    return np.real(((vecs.conj() @ g_mat) * vecs).sum(axis=1)) - np.real(np.trace(g_mat @ sigma))
 
 
 def sigma_energy(sol, constraint, sig):
@@ -229,8 +263,8 @@ class TestProductLmo:
 
 
 class TestLineSearch:
-    def test_each_candidate_matches_scalar_golden(self):
-        # the capped search: no slopes given
+    def test_each_candidate_matches_its_own_search(self):
+        # candidates on clipped segments, each against its one-row search
         sig = DimSig((2, 3))
         rho = random_density((2, 3), 6, seed=4)
         sigma = 0.5 * random_separable((2, 3), 5, seed=6).mat + 0.5 * np.eye(6) / 6
@@ -240,19 +274,13 @@ class TestLineSearch:
             [atom_vector(SepAtom((unit(rng, 2), unit(rng, 3))), sig, Partition.finest(2)) for _ in range(5)]
         )
         t_max = np.array([1.0, 0.3, 0.05, 1.0, 0.7])
-        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho)
-        for k, vec in enumerate(vecs):
-            direction = np.outer(vec, vec.conj())
-
-            def h(t):
-                return _objective(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
-
-            t_k = _golden(h, 0.0, float(t_max[k]))
-            assert float(t_stars[k]).hex() == float(t_k).hex()
-            assert float(vals[k]).hex() == float(h(t_k)).hex()
-        # one candidate takes the scalar search, with the same bits
-        t_one, val_one = _line_search(rho.mat, sigma, vecs[1:2], t_max[1:2], tr_rho_ln_rho)
-        assert (float(t_one[0]).hex(), float(val_one[0]).hex()) == (float(t_stars[1]).hex(), float(vals[1]).hex())
+        slopes = segment_slopes(rho, sigma, vecs)
+        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes)
+        for k in range(len(vecs)):
+            t_one, val_one = _line_search(
+                rho.mat, sigma, vecs[k : k + 1], t_max[k : k + 1], tr_rho_ln_rho, slopes[k : k + 1]
+            )
+            assert (float(t_one[0]).hex(), float(val_one[0]).hex()) == (float(t_stars[k]).hex(), float(vals[k]).hex())
 
     def test_repeated_row_copies_its_search(self, monkeypatch):
         import qsep.relent as relent_mod
@@ -265,11 +293,15 @@ class TestLineSearch:
         v0, v1 = (atom_vector(SepAtom((unit(rng, 2), unit(rng, 2))), sig, Partition.finest(2)) for _ in range(2))
         # row 2 repeats row 0 and its t_max; row 3 repeats the vector on a shorter segment
         vecs, t_max = np.stack([v0, v1, v0, v0]), np.array([0.8, 1.0, 0.8, 0.3])
-        want = [_line_search(rho.mat, sigma, vecs[k : k + 1], t_max[k : k + 1], tr_rho_ln_rho) for k in range(4)]
+        slopes = segment_slopes(rho, sigma, vecs)
+        want = [
+            _line_search(rho.mat, sigma, vecs[k : k + 1], t_max[k : k + 1], tr_rho_ln_rho, slopes[k : k + 1])
+            for k in range(4)
+        ]
         searches = []
-        golden = relent_mod._golden
-        monkeypatch.setattr(relent_mod, "_golden", lambda h, lo, hi: searches.append(hi) or golden(h, lo, hi))
-        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho)
+        secant = relent_mod._secant
+        monkeypatch.setattr(relent_mod, "_secant", lambda *args: searches.append(args[4]) or secant(*args))
+        t_stars, vals = _line_search(rho.mat, sigma, vecs, t_max, tr_rho_ln_rho, slopes)
         assert searches == [0.8, 1.0, 0.3]
         assert t_stars.tobytes() == np.concatenate([t for t, _ in want]).tobytes()
         assert vals.tobytes() == np.concatenate([v for _, v in want]).tobytes()
@@ -294,7 +326,8 @@ class TestLineSearch:
         assert np.real(v.conj() @ g_mat @ v) >= np.real(np.trace(g_mat @ sigma))
         # one candidate or two, each takes the same scalar search
         for vecs, t_maxs in ((v[None], [t_max]), (np.stack([v, v]), [t_max, 1.0])):
-            _, vals = _line_search(rho.mat, sigma, vecs, np.array(t_maxs), tr_rho_ln_rho)
+            slopes = np.full(len(vecs), np.real(v.conj() @ g_mat @ v) - np.real(np.trace(g_mat @ sigma)))
+            _, vals = _line_search(rho.mat, sigma, vecs, np.array(t_maxs), tr_rho_ln_rho, slopes)
             assert vals.min() >= obj - 1e-15
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -326,6 +359,44 @@ class TestLineSearch:
             return _objective(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
 
         assert val <= h(_golden(h, 0.0, 1.0)) + 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        t_max=st.floats(1e-6, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_clipped_search_stops_at_root_or_segment_end(self, dims, seed, t_max):
+        # on [0, t_max] the convex h is least at its slope root clipped to t_max
+        rng = np.random.default_rng(seed)
+        sig = DimSig(dims)
+        rho = random_density(dims, sig.total, seed=int(rng.integers(2**32)))
+        sigma = random_separable(dims, 2 * sig.total, seed=int(rng.integers(2**32))).mat
+        tr_rho_ln_rho = -von_neumann_entropy(rho)
+        obj, g_mat = _obj_and_grad(rho.mat, sigma, tr_rho_ln_rho)
+        base = float(np.real(np.trace(g_mat @ sigma)))
+        vec = product_lmo(g_mat[None], sig, Partition.finest(len(dims)), rng=rng).vectors[0]
+        slope0 = float(np.real(vec.conj() @ g_mat @ vec)) - base
+        assert slope0 < 0.0
+        t_stars, vals = _line_search(rho.mat, sigma, vec[None], np.array([t_max]), tr_rho_ln_rho, np.array([slope0]))
+        t_star, val = float(t_stars[0]), float(vals[0])
+        direction = np.outer(vec, vec.conj())
+
+        def h(t):
+            return _objective(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+
+        def slope(t):
+            _, g_t = _obj_and_grad(rho.mat, (1.0 - t) * sigma + t * direction, tr_rho_ln_rho)
+            return float(np.real(vec.conj() @ g_t @ vec - np.trace(g_t @ sigma)))
+
+        if slope(t_max) < 0.0:  # h still descends at the end of the segment
+            assert t_star.hex() == t_max.hex()
+            end_obj, _ = _obj_and_grad(rho.mat, (1.0 - t_max) * sigma + t_max * direction, tr_rho_ln_rho)
+            assert val.hex() == float(end_obj).hex()
+        else:
+            assert 0.0 < t_star < t_max and val < obj
+            assert abs(slope(t_star)) <= 1e-6 * abs(slope0)
+            assert val <= h(_golden(h, 0.0, t_max)) + 1e-14
 
     def test_uncapped_search_reaches_the_endpoint(self):
         # rho = |v><v| is a product state: h descends all the way to sigma = rho
@@ -645,7 +716,7 @@ class TestStopStatus:
 
     @pytest.mark.parametrize(
         "name, value, iterations",
-        [("bell", "0x1.338891710e1f7p+0", 2), ("w3", "0x1.1a742d2633f22p+0", 8)],
+        [("bell", "0x1.338891710fba3p+0", 2), ("w3", "0x1.1a742cc407529p+0", 8)],
         ids=["bell", "w3"],
     )
     def test_capped_stall_keeps_value(self, name, value, iterations):
@@ -787,6 +858,16 @@ class TestEnergyConstrained:
                 bell_state(), None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=-0.5)
             )
 
+    def test_nan_cap_is_refused(self):
+        # a NaN cap compares false against every energy, so it bounds nothing;
+        # a sweep refuses it before its first solve
+        with pytest.raises(ValueError, match="NaN"):
+            relative_entropy_entanglement(
+                bell_state(), None, FAST, constraint=EnergyConstraint(hams=(QUBIT_H, QUBIT_H), E=math.nan)
+            )
+        with pytest.raises(ValueError, match="NaN"):
+            energy_sweep(bell_state(), None, (QUBIT_H, QUBIT_H), [0.5, math.nan], FAST)
+
     @pytest.mark.parametrize(
         "hams, match",
         [((QUBIT_H,), "one local Hamiltonian per subsystem"), ((QUBIT_H, [0.0, 1.0, 2.0]), "has 3 levels")],
@@ -795,7 +876,7 @@ class TestEnergyConstrained:
         with pytest.raises(ValueError, match=match):
             relative_entropy_entanglement(bell_state(), None, FAST, constraint=EnergyConstraint(hams=hams, E=1e9))
 
-    @pytest.mark.parametrize("E", [2.0, 3.5])
+    @pytest.mark.parametrize("E", [2.0, 3.5, math.inf])
     @pytest.mark.parametrize("warm", [False, True])
     def test_vacuous_cap_is_the_uncapped_solve(self, monkeypatch, E, warm):
         # the largest product energy of two qubits under diag(0, 1) is 2:
